@@ -8,7 +8,7 @@
 //! authenticators; Byzantine-resilient deployments additionally sign
 //! payloads with `gencon-crypto` authenticators via the `Pcons` stack.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -170,6 +170,8 @@ pub struct TcpTransport {
     links: Vec<Option<PeerLink>>,
     closed: Arc<std::sync::atomic::AtomicBool>,
     local_addr: SocketAddr,
+    /// Reused send buffer: length prefix and frame go out in one write.
+    out: Vec<u8>,
 }
 
 /// The outgoing side of one peer connection, redialable after failures.
@@ -328,6 +330,7 @@ impl TcpTransport {
             links,
             closed,
             local_addr,
+            out: Vec::new(),
         })
     }
 }
@@ -386,8 +389,10 @@ pub fn probe_free_addrs(n: usize) -> std::io::Result<Vec<SocketAddr>> {
 }
 
 /// Reads the hello id, then length-prefixed frames, forwarding them tagged
-/// with the pinned id.
-fn reader_loop(mut stream: TcpStream, tx: Sender<(ProcessId, Bytes)>) {
+/// with the pinned id. Reads go through a buffer, so a small frame and its
+/// prefix cost one `read` syscall, not two.
+fn reader_loop(stream: TcpStream, tx: Sender<(ProcessId, Bytes)>) {
+    let mut stream = BufReader::with_capacity(64 * 1024, stream);
     let mut id_buf = [0u8; 4];
     if stream.read_exact(&mut id_buf).is_err() {
         return;
@@ -439,15 +444,16 @@ impl Transport for TcpTransport {
         let mut guard = link.stream.lock();
         match guard.as_mut() {
             Some(stream) => {
-                let len = (frame.len() as u32).to_le_bytes();
+                // Prefix and frame in one write: under TCP_NODELAY two
+                // writes cost two syscalls and can cost two segments.
+                self.out.clear();
+                self.out
+                    .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+                self.out.extend_from_slice(&frame);
                 // Best-effort: a failed write models a crashed/partitioned
                 // peer — the frame is dropped and the link redials in the
                 // background so a *restarted* peer is reachable again.
-                if stream
-                    .write_all(&len)
-                    .and_then(|()| stream.write_all(&frame))
-                    .is_err()
-                {
+                if stream.write_all(&self.out).is_err() {
                     *guard = None;
                     drop(guard);
                     link.spawn_redial(self.id);

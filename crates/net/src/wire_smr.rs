@@ -55,6 +55,7 @@ impl<V: Value + Wire> Wire for SmrMsg<V> {
         for value in self.relays() {
             value.encode(buf);
         }
+        self.committed_len().encode(buf);
     }
 
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -82,13 +83,15 @@ impl<V: Value + Wire> Wire for SmrMsg<V> {
         for _ in 0..relays {
             bundle.push_relay(V::decode(buf)?);
         }
+        bundle.set_committed_len(u64::decode(buf)?);
         Ok(bundle)
     }
 }
 
 // Trailing-byte note: `SmrMsg` is always the *last* field of its envelope,
-// and decoders are sequential, so the two length prefixes fully delimit the
-// bundle — no framing ambiguity against the outer length prefix.
+// and decoders are sequential, so the three length prefixes and the fixed
+// 8-byte commit watermark fully delimit the bundle — no framing ambiguity
+// against the outer length prefix.
 
 #[cfg(test)]
 mod tests {
@@ -131,6 +134,7 @@ mod tests {
         );
         m.push_claim(1, Batch::new(vec![7]));
         m.push_relay(Batch::new(vec![30, 40, 50]));
+        m.set_committed_len(3);
         m
     }
 
@@ -146,6 +150,12 @@ mod tests {
     fn smr_bundle_roundtrips() {
         roundtrip(SmrMsg::<Batch<u64>>::new());
         roundtrip(sample_bundle());
+        let mut extreme = sample_bundle();
+        extreme.set_committed_len(u64::MAX);
+        roundtrip(extreme);
+        // The watermark is the bundle's last 8 bytes, little-endian.
+        let bytes = sample_bundle().to_bytes();
+        assert_eq!(bytes[bytes.len() - 8..], 3u64.to_le_bytes());
     }
 
     #[test]

@@ -71,9 +71,11 @@ fn bundles() -> impl Strategy<Value = SmrMsg<Batch<u64>>> {
         proptest::collection::vec((0u64..64, consensus_msgs()), 0..5),
         proptest::collection::vec((0u64..64, batches()), 0..4),
         proptest::collection::vec(batches(), 0..3),
+        any::<u64>(),
     )
-        .prop_map(|(slots, claims, relays)| {
+        .prop_map(|(slots, claims, relays, watermark)| {
             let mut m = SmrMsg::new();
+            m.set_committed_len(watermark);
             for (slot, msg) in slots {
                 m.push(slot, msg);
             }

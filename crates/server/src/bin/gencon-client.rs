@@ -63,12 +63,34 @@ fn backoff_delay(streak: u32, bounces: u64) -> Duration {
     const BASE_US: u64 = 1_000;
     const CAP_US: u64 = 64_000;
     let exp = (BASE_US << streak.min(6)).min(CAP_US);
-    // SplitMix64-style finalizer as the jitter hash.
-    let mut x = bounces.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^= x >> 33;
-    Duration::from_micros(exp / 2 + x % (exp / 2 + 1))
+    Duration::from_micros(exp / 2 + splitmix64(bounces) % (exp / 2 + 1))
+}
+
+/// The SplitMix64 output function: every input bit moves every output
+/// bit, so consecutive inputs land on unrelated residues.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The kv workload's command `seq` of `client`: every 4th op is a
+/// linearized read, the rest are puts whose value embeds the request id.
+/// The key is a hash of the id, so reads and writes share the keyspace —
+/// a plain `id · constant mod keys` keeps the key ≡ seq (mod 4) whenever
+/// `keys` is a multiple of 4, and the reads never see a written key.
+fn kv_cmd(ns: u16, client: u16, seq: u32, keys: u64, value_bytes: usize) -> KvCmd {
+    let id = encode_cmd(ns, client, seq);
+    let key = format!("k{:08}", splitmix64(id) % keys).into_bytes();
+    let op = if seq % 4 == 3 {
+        KvOp::Get { key }
+    } else {
+        let mut value = vec![0u8; value_bytes];
+        value[..8].copy_from_slice(&id.to_le_bytes());
+        KvOp::Put { key, value }
+    };
+    KvCmd { id, op }
 }
 
 /// A connected submit stream plus the channel its reader thread feeds.
@@ -243,20 +265,7 @@ fn main() {
             let ns = shared.namespace;
             let mut hits: u64 = 0;
             let mut misses: u64 = 0;
-            let make = move |client: u16, seq: u32| -> KvCmd {
-                let id = encode_cmd(ns, client, seq);
-                // Deterministic key choice spread across the keyspace;
-                // every 4th op is a linearized read.
-                let key = format!("k{:08}", id.wrapping_mul(0x9E37_79B9) % keys).into_bytes();
-                let op = if seq % 4 == 3 {
-                    KvOp::Get { key }
-                } else {
-                    let mut value = vec![0u8; value_bytes];
-                    value[..8].copy_from_slice(&id.to_le_bytes());
-                    KvOp::Put { key, value }
-                };
-                KvCmd { id, op }
-            };
+            let make = move |client: u16, seq: u32| kv_cmd(ns, client, seq, keys, value_bytes);
             let report = run::<KvCmd, KvReply>(
                 server,
                 &shared,
@@ -426,5 +435,28 @@ mod tests {
         let delays: std::collections::HashSet<_> =
             (1..20u64).map(|b| backoff_delay(6, b)).collect();
         assert!(delays.len() > 1, "jitter never varied");
+    }
+
+    #[test]
+    fn kv_gets_read_keys_earlier_puts_wrote() {
+        let keys = 1_024;
+        let mut written = std::collections::HashSet::new();
+        let (mut gets, mut hits) = (0, 0);
+        for seq in 0..4_096u32 {
+            match kv_cmd(0, 0, seq, keys, 8).op {
+                KvOp::Put { key, .. } => {
+                    written.insert(key);
+                }
+                KvOp::Get { key } => {
+                    gets += 1;
+                    hits += u32::from(written.contains(&key));
+                }
+                other => panic!("unexpected op {other:?}"),
+            }
+        }
+        assert_eq!(gets, 1_024, "every 4th op reads");
+        // 3,072 puts over 1,024 keys: ~70% of all gets find a written key
+        // (the early ones see a nearly empty map).
+        assert!(hits > gets / 2, "only {hits} of {gets} gets hit");
     }
 }

@@ -583,7 +583,7 @@ impl<V: Value> RoundProcess for BatchingReplica<V> {
             match &mut out {
                 Outgoing::Broadcast(bundle) => bundle.push_relay(chunk),
                 Outgoing::Silent => {
-                    let mut bundle = SmrMsg::new();
+                    let mut bundle = self.inner.bundle();
                     bundle.push_relay(chunk);
                     out = Outgoing::Broadcast(bundle);
                 }

@@ -83,7 +83,8 @@ pub type Slot = u64;
 /// value is the slot's actual decision by per-slot Agreement. This is the
 /// catch-up path that bounded engine lingering cannot provide: however far
 /// a replica falls behind, the replicas ahead of it keep answering its
-/// stale-slot messages with certificates.
+/// stale-slot messages with certificates, because its own watermark (see
+/// below) shows them it is behind.
 ///
 /// A bundle also carries **relays**: values holding commands the sender
 /// has queued but not yet seen committed. Receivers merge relayed
@@ -95,11 +96,22 @@ pub type Slot = u64;
 /// replica's clients would ever be served. Relays are the dissemination
 /// half of a real SMR service: any replica accepts a submission, the
 /// winning batch (whosever it is) carries it.
+///
+/// Finally, every bundle carries its sender's **commit watermark**: the
+/// contiguous commit point ([`Replica::committed_len`]) at send time.
+/// Receivers use it to stop sending lingering votes and decision claims
+/// for slots every peer has already committed — see
+/// [`Replica::with_linger`]. The watermark only decides whether help is
+/// *sent*, and a left-out message is indistinguishable from a lost one,
+/// so safety never depends on it. Help stops only once *every* peer's
+/// latest watermark is past the slot, so a Byzantine peer can hold the
+/// gate open (costing bytes) but cannot close it on an honest laggard.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SmrMsg<V> {
     slots: Vec<(Slot, ConsensusMsg<V>)>,
     claims: Vec<(Slot, V)>,
     relays: Vec<V>,
+    committed_len: u64,
 }
 
 impl<V> SmrMsg<V> {
@@ -110,6 +122,7 @@ impl<V> SmrMsg<V> {
             slots: Vec::new(),
             claims: Vec::new(),
             relays: Vec::new(),
+            committed_len: 0,
         }
     }
 
@@ -165,6 +178,18 @@ impl<V> SmrMsg<V> {
     pub fn relays(&self) -> &[V] {
         &self.relays
     }
+
+    /// The sender's commit watermark: how many slots it had committed
+    /// contiguously when it sent this bundle.
+    #[must_use]
+    pub fn committed_len(&self) -> u64 {
+        self.committed_len
+    }
+
+    /// Sets the commit watermark.
+    pub fn set_committed_len(&mut self, len: u64) {
+        self.committed_len = len;
+    }
 }
 
 impl<V> FromIterator<(Slot, ConsensusMsg<V>)> for SmrMsg<V> {
@@ -173,6 +198,7 @@ impl<V> FromIterator<(Slot, ConsensusMsg<V>)> for SmrMsg<V> {
             slots: iter.into_iter().collect(),
             claims: Vec::new(),
             relays: Vec::new(),
+            committed_len: 0,
         }
     }
 }
@@ -199,10 +225,20 @@ pub struct Replica<V: Value> {
     /// "its votes help laggards reach TD") — without this, a replica that
     /// decides slot `s` and opens `s + 1` strands any peer that missed the
     /// deciding round: the peer alone can never reach `TD` votes for `s`.
+    /// A lingering engine steps every round, but its vote enters the
+    /// bundle only while the commit floor (see `peer_commit`) is at or
+    /// below its slot — once every peer has committed the slot, nobody
+    /// needs the vote.
     lingering: BTreeMap<Slot, (GenericConsensus<V>, u64, u64)>,
     /// Rounds a decided engine lingers after its decision (0 = retire
-    /// immediately, the pre-linger behavior).
+    /// immediately, the pre-linger behavior): the upper bound on how long
+    /// a decided slot keeps voting.
     linger: u64,
+    /// The latest commit watermark heard from each process (indexed by
+    /// id; 0 until heard). The *latest*, not a running max: a replica
+    /// that restarts empty advertises a lower point and needs votes and
+    /// claims again. The minimum over peers is the **commit floor**.
+    peer_commit: Vec<u64>,
     /// Decided-but-not-yet-committed slots (waiting for lower slots).
     decided: BTreeMap<Slot, V>,
     /// Decision claims to attach to the next bundle: slots we committed
@@ -253,6 +289,7 @@ impl<V: Value> Replica<V> {
         commit_target: usize,
     ) -> Result<Self, ParamsError> {
         params.validate()?;
+        let n = params.cfg.n();
         Ok(Replica {
             id,
             params,
@@ -261,6 +298,7 @@ impl<V: Value> Replica<V> {
             open: BTreeMap::new(),
             lingering: BTreeMap::new(),
             linger: 6,
+            peer_commit: vec![0; n],
             decided: BTreeMap::new(),
             claim_queue: BTreeMap::new(),
             claim_votes: BTreeMap::new(),
@@ -280,11 +318,19 @@ impl<V: Value> Replica<V> {
         self
     }
 
-    /// Sets how many rounds a decided slot's engine keeps participating
-    /// (default 6 — two phases of a 3-round class). Lingering engines keep
-    /// re-broadcasting their votes so replicas that missed the deciding
-    /// round still reach `TD`; longer linger tolerates longer asynchronous
-    /// gaps at the cost of proportionally more live engines.
+    /// Sets how many rounds, at most, a decided slot's engine keeps
+    /// participating (default 6 — two phases of a 3-round class).
+    ///
+    /// A lingering engine keeps stepping every round, and re-broadcasts
+    /// its vote so replicas that missed the deciding round still reach
+    /// `TD` — but only while some peer's latest commit watermark (carried
+    /// by every [`SmrMsg`]) is at or below the slot. Decision claims for
+    /// the slot are gated the same way. In a good period every peer
+    /// advertises the slot committed one round after deciding it, and the
+    /// slot goes quiet; under loss, with a crashed peer, or with a
+    /// Byzantine peer advertising a low watermark the gate stays open for
+    /// the whole window. Longer linger tolerates longer asynchronous gaps
+    /// at the cost of proportionally more live engines.
     #[must_use]
     pub fn with_linger(mut self, rounds: u64) -> Self {
         self.linger = rounds;
@@ -453,6 +499,37 @@ impl<V: Value> Replica<V> {
         }
     }
 
+    /// Records each sender's commit watermark (the latest one, see
+    /// `peer_commit`).
+    fn note_watermarks(&mut self, heard: &HeardOf<SmrMsg<V>>) {
+        for (sender, bundle) in heard.iter() {
+            if let Some(w) = self.peer_commit.get_mut(sender.index()) {
+                *w = bundle.committed_len();
+            }
+        }
+    }
+
+    /// The commit floor: the lowest latest watermark among the other
+    /// replicas. A decided slot at or above it may still be missing
+    /// somewhere, so its votes and claims are still worth sending.
+    fn commit_floor(&self) -> u64 {
+        let me = self.id.index();
+        self.peer_commit
+            .iter()
+            .enumerate()
+            .filter(|(p, _)| *p != me)
+            .map(|(_, w)| *w)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// An empty bundle stamped with this replica's commit watermark.
+    fn bundle(&self) -> SmrMsg<V> {
+        let mut bundle = SmrMsg::new();
+        bundle.set_committed_len(self.committed_len() as u64);
+        bundle
+    }
+
     /// The decided value of `slot`, if this replica has one (committed,
     /// decided-pending, or still lingering).
     fn decision_of(&self, slot: Slot) -> Option<V> {
@@ -473,10 +550,13 @@ impl<V: Value> Replica<V> {
     /// slots (adopting a value once `b + 1` distinct senders vouch for it —
     /// at least one is honest, so Agreement makes the value the slot's true
     /// decision), and queues claims for peers still working slots we have
-    /// already decided. This is the unbounded catch-up path: lingering
-    /// engines cover short gaps cheaply, certificates cover any gap.
+    /// already decided — unless the commit floor is above the slot, i.e.
+    /// every peer has since committed it. This is the unbounded catch-up
+    /// path: lingering engines cover short gaps cheaply, certificates
+    /// cover any gap.
     fn exchange_claims(&mut self, heard: &HeardOf<SmrMsg<V>>) {
         let threshold = self.params.cfg.b() + 1;
+        let floor = self.commit_floor();
         for (sender, bundle) in heard.iter() {
             for (slot, value) in bundle.claims() {
                 if self.open.contains_key(slot) {
@@ -488,7 +568,7 @@ impl<V: Value> Replica<V> {
                         .insert(sender);
                 }
             }
-            for (slot, _) in bundle.iter() {
+            for (slot, _) in bundle.iter().filter(|(s, _)| *s >= floor) {
                 if let Some(v) = self.decision_of(slot) {
                     self.claim_queue.insert(slot, v);
                 }
@@ -570,26 +650,30 @@ impl<V: Value> RoundProcess for Replica<V> {
 
     fn send(&mut self, r: Round) -> Outgoing<Self::Msg> {
         self.refill_window(r);
-        let mut bundle = SmrMsg::new();
+        let mut bundle = self.bundle();
+        let floor = self.commit_floor();
+        // Lingering engines still step (their state stays exact), but a
+        // vote only ships while some peer may still need it.
         let live = self
             .open
             .iter_mut()
-            .map(|(s, (e, opened))| (*s, e, *opened))
+            .map(|(s, (e, opened))| (*s, e, *opened, true))
             .chain(
                 self.lingering
                     .iter_mut()
-                    .map(|(s, (e, opened, _))| (*s, e, *opened)),
+                    .map(|(s, (e, opened, _))| (*s, e, *opened, *s >= floor)),
             );
-        for (slot, engine, opened) in live {
+        for (slot, engine, opened, ship) in live {
             let local = Round::new(r.number() - opened + 1);
             match engine.send(local) {
                 Outgoing::Silent => {}
-                Outgoing::Broadcast(m) => bundle.push(slot, m),
+                Outgoing::Broadcast(m) if ship => bundle.push(slot, m),
                 // Per-instance multicasts degrade to bundle broadcast; the
                 // constant-Π selectors of Byzantine algorithms make this
                 // exact, and benign leader-based instances just send a few
                 // extra copies.
-                Outgoing::Multicast { msg, .. } => bundle.push(slot, msg),
+                Outgoing::Multicast { msg, .. } if ship => bundle.push(slot, msg),
+                Outgoing::Broadcast(_) | Outgoing::Multicast { .. } => {}
                 Outgoing::PerDest(_) => {
                     unreachable!("honest engines never equivocate")
                 }
@@ -607,6 +691,7 @@ impl<V: Value> RoundProcess for Replica<V> {
 
     fn receive(&mut self, r: Round, heard: &HeardOf<Self::Msg>) {
         let n = self.params.cfg.n();
+        self.note_watermarks(heard);
         self.align_openings(r, heard);
         self.exchange_claims(heard);
         let live = self
@@ -796,6 +881,224 @@ mod tests {
         assert_eq!(replicas[0].pending(), &[7]);
         let out = run_cluster(replicas, CrashPlan::none(), None, 30);
         assert_eq!(out.outputs[0].as_ref().unwrap(), &[7]);
+    }
+
+    /// What a [`lockstep`] run shipped and committed.
+    struct Trace {
+        /// `(round, sender, bundle)` for every bundle a sender shipped.
+        sent: Vec<(u64, usize, SmrMsg<u64>)>,
+        /// `(round, each replica's commit point after the round)`.
+        commits: Vec<(u64, Vec<usize>)>,
+    }
+
+    impl Trace {
+        /// Replica `p`'s commit point after round `r`.
+        fn commit_of(&self, r: u64, p: usize) -> usize {
+            self.commits.iter().find(|(rr, _)| *rr == r).unwrap().1[p]
+        }
+
+        /// Whether replica `p`'s round-`r` bundle carries a vote or a
+        /// claim for `slot`.
+        fn carried(&self, r: u64, p: usize, slot: Slot) -> bool {
+            self.sent.iter().any(|(rr, pp, b)| {
+                *rr == r
+                    && *pp == p
+                    && (b.slot(slot).is_some() || b.claims().iter().any(|(s, _)| *s == slot))
+            })
+        }
+    }
+
+    /// Runs `rounds` closed rounds by hand. `deliver(r, from, to)` decides
+    /// whether a round-`r` bundle reaches `to` (a process always hears
+    /// itself); `forge(r, from, out)` replaces what `from` ships — `None`
+    /// silences it (a crash), a made-up bundle plays a Byzantine sender.
+    fn lockstep(
+        replicas: &mut [Replica<u64>],
+        rounds: std::ops::RangeInclusive<u64>,
+        deliver: impl Fn(u64, usize, usize) -> bool,
+        forge: impl Fn(u64, usize, Option<SmrMsg<u64>>) -> Option<SmrMsg<u64>>,
+    ) -> Trace {
+        let n = replicas.len();
+        let mut trace = Trace {
+            sent: Vec::new(),
+            commits: Vec::new(),
+        };
+        for r in rounds {
+            let round = Round::new(r);
+            let out: Vec<Option<SmrMsg<u64>>> = replicas
+                .iter_mut()
+                .enumerate()
+                .map(|(p, rep)| forge(r, p, rep.send(round).message_for(ProcessId::new(p))))
+                .collect();
+            for (p, m) in out.iter().enumerate() {
+                if let Some(m) = m {
+                    trace.sent.push((r, p, m.clone()));
+                }
+            }
+            for (to, rep) in replicas.iter_mut().enumerate() {
+                let mut heard = HeardOf::empty(n);
+                for (from, m) in out.iter().enumerate() {
+                    if let Some(m) = m {
+                        if from == to || deliver(r, from, to) {
+                            heard.put(ProcessId::new(from), m.clone());
+                        }
+                    }
+                }
+                rep.receive(round, &heard);
+            }
+            trace
+                .commits
+                .push((r, replicas.iter().map(Replica::committed_len).collect()));
+        }
+        trace
+    }
+
+    fn pbft_replicas(linger: u64) -> Vec<Replica<u64>> {
+        let spec = pbft::<u64>(4, 1).unwrap();
+        let queues = (1..=4u64).map(|p| (0..20).map(|k| p * 100 + k).collect());
+        make_replicas(&spec, queues.collect(), usize::MAX, 1)
+            .into_iter()
+            .map(|r| r.with_linger(linger))
+            .collect()
+    }
+
+    fn all_links(_: u64, _: usize, _: usize) -> bool {
+        true
+    }
+
+    fn honest(_: u64, _: usize, out: Option<SmrMsg<u64>>) -> Option<SmrMsg<u64>> {
+        out
+    }
+
+    /// The first round after which replica 0 has committed slot 0.
+    fn first_commit_round(trace: &Trace) -> u64 {
+        trace.commits.iter().find(|(_, c)| c[0] >= 1).unwrap().0
+    }
+
+    #[test]
+    fn decided_slots_go_quiet_once_every_peer_committed() {
+        let mut replicas = pbft_replicas(6);
+        let trace = lockstep(&mut replicas, 1..=40, all_links, honest);
+        let mut quiet = 0;
+        for slot in 0..8 {
+            let Some(&(r, _)) = trace
+                .commits
+                .iter()
+                .find(|(_, c)| c.iter().all(|&k| k > slot))
+            else {
+                continue;
+            };
+            let slot = slot as Slot;
+            // One round of lingering votes: the peers' watermarks still
+            // predate the decision.
+            assert!(
+                (0..4).any(|p| trace.carried(r + 1, p, slot)),
+                "slot {slot}: lingering votes ship in round {}",
+                r + 1
+            );
+            for rr in r + 2..=40 {
+                for p in 0..4 {
+                    assert!(
+                        !trace.carried(rr, p, slot),
+                        "slot {slot} committed everywhere in round {r}, \
+                         yet p{p} ships it in round {rr}"
+                    );
+                }
+            }
+            quiet += 1;
+        }
+        assert!(quiet >= 5, "only {quiet} slots committed everywhere");
+    }
+
+    /// PBFT n = 4 with p3 crashed: in slot 0's deciding round only p0 hears
+    /// the votes. One claimant is below the `b + 1` claim threshold, so
+    /// p1 and p2 can only decide from p0's lingering votes.
+    fn lone_decider(linger: u64) -> (u64, Trace) {
+        let crashed = |_: u64, p: usize, out| if p == 3 { None } else { out };
+        let decide = first_commit_round(&lockstep(
+            &mut pbft_replicas(linger),
+            1..=20,
+            all_links,
+            crashed,
+        ));
+        let lossy = move |r: u64, _: usize, to: usize| r != decide || to == 0;
+        let trace = lockstep(&mut pbft_replicas(linger), 1..=30, lossy, crashed);
+        (decide, trace)
+    }
+
+    #[test]
+    fn lingering_votes_carry_laggards_past_a_lone_decider() {
+        let (decide, trace) = lone_decider(6);
+        assert_eq!(trace.commit_of(decide, 0), 1, "p0 decides alone");
+        assert_eq!(trace.commit_of(decide, 1), 0);
+        assert_eq!(trace.commit_of(decide, 2), 0);
+        let within = decide + 5;
+        assert!(
+            trace.commit_of(within, 1) >= 1 && trace.commit_of(within, 2) >= 1,
+            "p1 and p2 commit slot 0 within the linger window"
+        );
+        // Without lingering the same schedule strands them for good.
+        let (_, trace) = lone_decider(0);
+        assert_eq!(trace.commit_of(30, 1), 0);
+        assert_eq!(trace.commit_of(30, 2), 0);
+    }
+
+    #[test]
+    fn a_lowered_watermark_brings_claims_back() {
+        let mut replicas = pbft_replicas(6);
+        let before = lockstep(&mut replicas, 1..=20, all_links, honest);
+        let caught_up = before.commit_of(20, 0);
+        assert!(caught_up >= 4);
+        assert!(
+            !before.carried(20, 0, 0),
+            "slot 0 went quiet long before the restart"
+        );
+        // p3 restarts empty: its watermark drops to 0 and it works slot 0
+        // again, which only decision claims can still settle.
+        let spec = pbft::<u64>(4, 1).unwrap();
+        replicas[3] = Replica::new(ProcessId::new(3), spec.params, vec![], 0, usize::MAX).unwrap();
+        let after = lockstep(&mut replicas, 21..=45, all_links, honest);
+        assert!(
+            (22..=24).any(|r| after.carried(r, 0, 0)),
+            "p0 claims slot 0 for the restarted peer"
+        );
+        assert!(
+            after.commit_of(45, 3) >= caught_up,
+            "the restarted peer catches up by claims"
+        );
+    }
+
+    #[test]
+    fn a_byzantine_watermark_cannot_silence_votes_a_laggard_needs() {
+        for advertised in [0, u64::MAX] {
+            // p3 ships nothing but a watermark, so TD needs p0, p1 and p2.
+            let byzantine = move |_: u64, p: usize, out| {
+                if p == 3 {
+                    let mut forged = SmrMsg::new();
+                    forged.set_committed_len(advertised);
+                    Some(forged)
+                } else {
+                    out
+                }
+            };
+            let decide = first_commit_round(&lockstep(
+                &mut pbft_replicas(6),
+                1..=20,
+                all_links,
+                byzantine,
+            ));
+            let lossy = move |r: u64, _: usize, to: usize| r != decide || to == 0;
+            let trace = lockstep(&mut pbft_replicas(6), 1..=30, lossy, byzantine);
+            assert_eq!(trace.commit_of(decide, 1), 0, "p1 missed the decision");
+            assert!(
+                trace.carried(decide + 2, 0, 0),
+                "watermark {advertised}: p0 keeps voting for the laggards"
+            );
+            assert!(
+                trace.commit_of(decide + 5, 1) >= 1 && trace.commit_of(decide + 5, 2) >= 1,
+                "watermark {advertised}: the laggards commit slot 0"
+            );
+        }
     }
 
     #[test]

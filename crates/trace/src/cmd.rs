@@ -255,9 +255,10 @@ const SLOW_SLOTS: usize = 16;
 /// whose global ticket assigns each writer a private slot, *any* ack
 /// thread may target *any* slot here (whichever currently holds the
 /// minimum), so the sequence word doubles as a try-lock: a writer
-/// claims the slot by CAS-ing the even sequence to odd, re-verifies the
-/// displacement decision inside the lock, and publishes with the next
-/// even value. Readers use the standard seqlock protocol.
+/// claims the slot by CAS-ing the even sequence to odd, re-verifies
+/// inside the lock that the slot is still the one its scan chose, and
+/// publishes with the next even value. Readers use the standard seqlock
+/// protocol.
 #[derive(Default)]
 struct SlowSlot {
     /// 0 = never written; odd = write in progress.
@@ -267,6 +268,24 @@ struct SlowSlot {
     slot: AtomicU64,
     submitted_ts_us: AtomicU64,
     relay_hops: AtomicU32,
+}
+
+/// A displacement target chosen by [`SlowCmdRing::scan`].
+#[derive(Clone, Copy, Debug)]
+struct Victim {
+    index: usize,
+    /// The resident's e2e at scan time; `None` for an empty slot.
+    e2e: Option<u64>,
+}
+
+/// How one displacement attempt ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Attempt {
+    Stored,
+    /// Not slower than the fastest resident: not a top-K entry.
+    Rejected,
+    /// The victim was busy or changed since the scan.
+    Rescan,
 }
 
 /// A bounded lock-free ring of the slowest commands seen (top-K by
@@ -316,54 +335,74 @@ impl SlowCmdRing {
     /// fastest resident (or an empty slot remains). Safe from any
     /// number of concurrent threads.
     pub fn offer(&self, ex: CmdExemplar) {
-        loop {
-            // Scan for the displacement victim: an empty slot, else the
-            // current minimum e2e. Unlocked reads — the decision is
-            // re-verified inside the per-slot lock below.
-            let mut victim = 0usize;
-            let mut victim_e2e = u64::MAX;
-            let mut victim_empty = false;
-            for (i, s) in self.slots.iter().enumerate() {
-                if s.seq.load(Ordering::Acquire) == 0 {
-                    victim = i;
-                    victim_empty = true;
-                    break;
-                }
-                let e2e = s.e2e_us.load(Ordering::Relaxed);
-                if e2e < victim_e2e {
-                    victim_e2e = e2e;
-                    victim = i;
-                }
+        while self.try_displace(self.scan(), &ex) == Attempt::Rescan {}
+    }
+
+    /// The displacement victim by unlocked reads: the first empty slot,
+    /// else the resident with the minimum e2e. The choice is re-verified
+    /// inside the slot's lock by [`SlowCmdRing::try_displace`].
+    fn scan(&self) -> Victim {
+        let mut victim = Victim {
+            index: 0,
+            e2e: Some(u64::MAX),
+        };
+        for (i, s) in self.slots.iter().enumerate() {
+            if s.seq.load(Ordering::Acquire) == 0 {
+                return Victim {
+                    index: i,
+                    e2e: None,
+                };
             }
-            if !victim_empty && ex.e2e_us <= victim_e2e {
-                return; // K residents at least this slow — not a top-K entry
+            let e2e = s.e2e_us.load(Ordering::Relaxed);
+            if Some(e2e) < victim.e2e {
+                victim = Victim {
+                    index: i,
+                    e2e: Some(e2e),
+                };
             }
-            let s = &self.slots[victim];
-            let seq = s.seq.load(Ordering::Acquire);
-            if seq % 2 == 1 {
-                std::hint::spin_loop();
-                continue; // another writer holds the slot; rescan
-            }
-            if s.seq
-                .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-            {
-                continue; // lost the claim race; rescan
-            }
-            // Inside the lock: the slot may have grown since the scan.
-            if seq != 0 && ex.e2e_us <= s.e2e_us.load(Ordering::Relaxed) {
-                s.seq.store(seq, Ordering::Release); // payload untouched
-                continue; // victim no longer the minimum; rescan
-            }
-            s.cmd.store(ex.cmd, Ordering::Relaxed);
-            s.e2e_us.store(ex.e2e_us, Ordering::Relaxed);
-            s.slot.store(ex.slot, Ordering::Relaxed);
-            s.submitted_ts_us
-                .store(ex.submitted_ts_us, Ordering::Relaxed);
-            s.relay_hops.store(ex.relay_hops, Ordering::Relaxed);
-            s.seq.store(seq + 2, Ordering::Release);
-            return;
         }
+        victim
+    }
+
+    /// One displacement attempt against the scanned `victim`.
+    fn try_displace(&self, victim: Victim, ex: &CmdExemplar) -> Attempt {
+        if victim.e2e.is_some_and(|e2e| ex.e2e_us <= e2e) {
+            return Attempt::Rejected; // K residents at least this slow
+        }
+        let s = &self.slots[victim.index];
+        let seq = s.seq.load(Ordering::Acquire);
+        if seq % 2 == 1 {
+            std::hint::spin_loop();
+            return Attempt::Rescan; // another writer holds the slot
+        }
+        if s.seq
+            .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            return Attempt::Rescan; // lost the claim race
+        }
+        // Inside the lock: the slot must still be what the scan saw —
+        // empty, or holding the scanned minimum. Another writer may have
+        // filled or raised it since; overwriting it then could evict a
+        // top-K resident while an empty slot or a faster resident
+        // survives elsewhere. Residents only grow, so an unchanged e2e
+        // is still the minimum.
+        let unchanged = match victim.e2e {
+            None => seq == 0,
+            Some(e2e) => s.e2e_us.load(Ordering::Relaxed) == e2e,
+        };
+        if !unchanged {
+            s.seq.store(seq, Ordering::Release); // payload untouched
+            return Attempt::Rescan;
+        }
+        s.cmd.store(ex.cmd, Ordering::Relaxed);
+        s.e2e_us.store(ex.e2e_us, Ordering::Relaxed);
+        s.slot.store(ex.slot, Ordering::Relaxed);
+        s.submitted_ts_us
+            .store(ex.submitted_ts_us, Ordering::Relaxed);
+        s.relay_hops.store(ex.relay_hops, Ordering::Relaxed);
+        s.seq.store(seq + 2, Ordering::Release);
+        Attempt::Stored
     }
 
     /// The up-to-`n` slowest exemplars, descending by e2e. Torn slots
@@ -562,6 +601,56 @@ mod tests {
             relay_hops: 0,
         });
         assert!(ring.top(usize::MAX).iter().all(|e| e.cmd != 99));
+    }
+
+    fn exemplar(e2e_us: u64) -> CmdExemplar {
+        CmdExemplar {
+            cmd: e2e_us,
+            e2e_us,
+            slot: 0,
+            submitted_ts_us: 0,
+            relay_hops: 0,
+        }
+    }
+
+    fn resident_e2es(ring: &SlowCmdRing) -> Vec<u64> {
+        let mut e2es: Vec<u64> = ring.top(usize::MAX).iter().map(|e| e.e2e_us).collect();
+        e2es.sort_unstable();
+        e2es
+    }
+
+    /// The scan/claim race, forced without threads: writer A scans, writer
+    /// B completes a whole offer into A's victim, then A claims it. A
+    /// must notice the victim changed and rescan instead of evicting B.
+    #[test]
+    fn displacement_rechecks_the_scanned_victim() {
+        // A scanned an empty slot, which B then filled.
+        let ring = SlowCmdRing::new();
+        for e2e in 100..100 + SLOW_SLOTS as u64 - 2 {
+            ring.offer(exemplar(e2e));
+        }
+        let victim = ring.scan();
+        assert!(victim.e2e.is_none(), "an empty slot remains");
+        ring.offer(exemplar(400));
+        assert_eq!(ring.try_displace(victim, &exemplar(500)), Attempt::Rescan);
+        ring.offer(exemplar(500));
+        let mut expect: Vec<u64> = (100..100 + SLOW_SLOTS as u64 - 2).collect();
+        expect.extend([400, 500]);
+        assert_eq!(resident_e2es(&ring), expect);
+
+        // A scanned the minimum, which B then raised.
+        let ring = SlowCmdRing::new();
+        for e2e in 100..100 + SLOW_SLOTS as u64 {
+            ring.offer(exemplar(e2e));
+        }
+        let victim = ring.scan();
+        assert_eq!(victim.e2e, Some(100));
+        ring.offer(exemplar(300));
+        assert_eq!(ring.try_displace(victim, &exemplar(500)), Attempt::Rescan);
+        ring.offer(exemplar(500));
+        let mut expect: Vec<u64> = (102..100 + SLOW_SLOTS as u64).collect();
+        expect.extend([300, 500]);
+        assert_eq!(resident_e2es(&ring), expect);
     }
 
     #[test]

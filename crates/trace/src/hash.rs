@@ -197,13 +197,20 @@ mod tests {
             })
         };
         let mut seen = 0u64;
-        while !writer.is_finished() {
+        // Read until a pass that began after the writer finished: the
+        // writer can finish before this thread first runs, so the last
+        // pass is what guarantees a read after the first publish.
+        loop {
+            let finished = writer.is_finished();
             for (applied, hash) in cell.recent() {
                 let head = u64::from_le_bytes(hash[..8].try_into().unwrap());
                 let tail = u64::from_le_bytes(hash[24..].try_into().unwrap());
                 assert_eq!(head, applied, "torn pair");
                 assert_eq!(tail, applied, "torn hash");
                 seen += 1;
+            }
+            if finished {
+                break;
             }
         }
         writer.join().unwrap();
