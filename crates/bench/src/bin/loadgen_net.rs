@@ -4,7 +4,8 @@
 //! Runs the same algorithms, closed-loop clients, batching and latency
 //! histogram as E8 (`loadgen`), but through the `gencon-server` event loop
 //! over real transports: in-process channels (protocol cost without the
-//! kernel) and a localhost TCP mesh (the full wire path). Each row reports
+//! kernel) and a localhost TCP mesh (the full wire path). The clusters
+//! are E10's driver (`run_store_load`) in memory mode. Each row reports
 //! wall-clock commands/sec and submit→apply latency percentiles in
 //! microseconds, **plus the same configuration's simulated commands/round**
 //! — so the sim-vs-wire gap is visible in one file.
@@ -21,8 +22,8 @@
 use gencon_algos::AlgorithmSpec;
 use gencon_bench::Table;
 use gencon_load::{
-    run_load, run_net_load, LoadProfile, NetLoadProfile, NetRow, NetTransportKind, ResultsWriter,
-    WorkloadKind,
+    run_load, run_store_load, LoadProfile, NetRow, NetTransportKind, ResultsWriter,
+    StoreLoadProfile, StoreMode,
 };
 use gencon_sim::{AlwaysGood, CrashPlan};
 use gencon_smr::Batch;
@@ -39,22 +40,8 @@ fn algos() -> Vec<AlgorithmSpec<Batch<u64>>> {
 
 /// The same configuration through the lock-step simulator, for the
 /// `sim_cmds_per_round` column.
-fn sim_cmds_per_round(
-    spec: &AlgorithmSpec<Batch<u64>>,
-    clients: u16,
-    cap: usize,
-    target: usize,
-) -> f64 {
-    let profile = LoadProfile {
-        clients_per_replica: clients,
-        workload: WorkloadKind::Closed { outstanding: 4 },
-        batch_cap: cap,
-        window: 4,
-        commit_target: target,
-        max_rounds: 200_000,
-        seed: 42,
-    };
-    let report = run_load(&spec.params, AlwaysGood, CrashPlan::none(), &[], &profile);
+fn sim_cmds_per_round(spec: &AlgorithmSpec<Batch<u64>>, profile: &LoadProfile) -> f64 {
+    let report = run_load(&spec.params, AlwaysGood, CrashPlan::none(), &[], profile);
     assert!(
         report.all_decided && report.logs_agree,
         "{}: simulated reference run must converge",
@@ -100,16 +87,11 @@ fn main() {
 
     for spec in &algos() {
         for &cap in caps {
-            let sim_rate = sim_cmds_per_round(spec, clients, cap, target);
+            let mut profile = StoreLoadProfile::new(StoreMode::Memory, clients, cap, target);
+            let sim_rate = sim_cmds_per_round(spec, &profile.load);
             for &transport in &transports {
-                let profile = NetLoadProfile::localhost(
-                    WorkloadKind::Closed { outstanding: 4 },
-                    clients,
-                    cap,
-                    target,
-                    transport,
-                );
-                let report = run_net_load(&spec.params, &profile);
+                profile.transport = transport;
+                let report = run_store_load(&spec.params, &profile);
                 assert!(
                     report.logs_agree,
                     "{} over {}: applied logs diverged",
@@ -138,7 +120,7 @@ fn main() {
                     b: spec.params.cfg.b(),
                     f: spec.params.cfg.f(),
                     transport: transport.label().to_string(),
-                    workload: profile.workload.label(),
+                    workload: profile.load.workload.label(),
                     clients: clients as usize * n,
                     batch_cap: cap,
                     committed_cmds: report.committed_cmds,

@@ -210,7 +210,7 @@ fn main() {
                     b: spec.params.cfg.b(),
                     f: spec.params.cfg.f(),
                     mode: mode.label(),
-                    workload: profile.workload.label(),
+                    workload: profile.load.workload.label(),
                     clients: clients as usize * n,
                     batch_cap: cap,
                     committed_cmds: report.committed_cmds,

@@ -28,11 +28,13 @@ use gencon_net::wire_sync::{FoldedState, SnapshotManifest};
 use gencon_net::ChannelTransport;
 use gencon_rounds::{HeardOf, Outgoing, RoundProcess};
 use gencon_server::{
-    run_smr_node, DurableConfig, DurableNode, NoHook, NodeHook, NodeStats, ServerConfig,
+    run_smr_node_observed, DurableConfig, DurableNode, NoHook, NodeHook, NodeStats, ServerConfig,
 };
 use gencon_smr::{Batch, BatchingReplica};
 use gencon_store::{Log, MemStore};
 use gencon_types::{ProcessId, Round};
+
+use crate::driver::per_sec;
 
 /// Configuration of the snapshot-growth measurement.
 #[derive(Clone, Debug)]
@@ -95,12 +97,7 @@ impl AppGrowthReport {
     /// Commands ingested per second.
     #[must_use]
     pub fn cmds_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.commands as f64 / secs
-        }
+        per_sec(self.commands, self.wall)
     }
 }
 
@@ -368,8 +365,15 @@ pub fn run_app_transfer(profile: &AppTransferProfile) -> AppTransferReport {
                     Folder::default(),
                     driver(Some(6), 0, Applier::default(), None),
                 );
-                let (dead, transport, _s, _h) =
-                    run_smr_node(make_replica(params.clone()), tr, cfg, hook);
+                let (dead, transport, _s, _h) = run_smr_node_observed(
+                    make_replica(params.clone()),
+                    tr,
+                    cfg,
+                    hook,
+                    None,
+                    None,
+                    None,
+                );
                 let died_at = dead.committed_slots() as u64;
                 drop(dead); // wiped: no replica state, no disk
 
@@ -393,8 +397,15 @@ pub fn run_app_transfer(profile: &AppTransferProfile) -> AppTransferReport {
                     Folder::default(),
                     driver(None, 0, Applier::default().with_hash_target(target), None),
                 );
-                let (replica, _t, stats, hook) =
-                    run_smr_node(make_replica(params), transport, cfg, hook);
+                let (replica, _t, stats, hook) = run_smr_node_observed(
+                    make_replica(params),
+                    transport,
+                    cfg,
+                    hook,
+                    None,
+                    None,
+                    None,
+                );
                 let state_bytes = hook
                     .store()
                     .read_snapshot()
@@ -421,7 +432,8 @@ pub fn run_app_transfer(profile: &AppTransferProfile) -> AppTransferReport {
                         Some(Arc::clone(&bases[i])),
                     ),
                 );
-                let (replica, _t, stats, hook) = run_smr_node(make_replica(params), tr, cfg, hook);
+                let (replica, _t, stats, hook) =
+                    run_smr_node_observed(make_replica(params), tr, cfg, hook, None, None, None);
                 (
                     hook.inner().applier.captured_hash(),
                     stats,

@@ -29,19 +29,16 @@ use std::time::{Duration, Instant};
 
 use gencon_app::{Applier, LogApp};
 use gencon_core::Params;
-use gencon_metrics::{HistoryRing, Registry, SloTracker};
-use gencon_net::{ChannelTransport, Transport};
+use gencon_metrics::SloTracker;
 use gencon_server::mon::{trace_pull_cmds, CmdPull, MonConfig, CLOCK_SAMPLES_DEFAULT};
 use gencon_server::{
-    read_frame, spawn_admin, write_frame, AdminState, ClientGateway, ClientRequest, ClientResponse,
-    GatewayConfig, NodeStats, ServerConfig,
+    read_frame, write_frame, ClientGateway, ClientRequest, ClientResponse, GatewayConfig, NodeStats,
 };
-use gencon_smr::{Batch, BatchingReplica};
-use gencon_trace::{
-    assemble_cmd_spans, assemble_spans, percentile_us, CmdSpan, FlightRecorder, HashCell,
-    PeerTable, SlowCmdRing,
-};
+use gencon_smr::Batch;
+use gencon_trace::{assemble_cmd_spans, assemble_spans, percentile_us, CmdSpan};
 
+use crate::cluster::{AdminKit, Cluster, ClusterSpec, NetTransportKind, StoreMode};
+use crate::driver::per_sec;
 use crate::workload::encode_cmd;
 
 /// One command-tracing run configuration.
@@ -206,12 +203,7 @@ impl CmdLoadReport {
     /// Acked commands per second across both populations.
     #[must_use]
     pub fn cmds_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.acked as f64 / secs
-        }
+        per_sec(self.acked, self.wall)
     }
 }
 
@@ -328,93 +320,49 @@ fn population_stats(
 ///
 /// Panics if an endpoint cannot be bound, a client loses its gateway, or
 /// a node thread dies.
-#[allow(clippy::too_many_lines)]
 pub fn run_cmd_load(params: &Params<Batch<u64>>, profile: &CmdLoadProfile) -> CmdLoadReport {
     let n = params.cfg.n();
     assert!(n >= 2, "the relay population needs a second node");
-    let cfg = ServerConfig {
-        initial_round_timeout: Duration::from_millis(30),
-        min_round_timeout: Duration::from_millis(1),
-        max_round_timeout: Duration::from_millis(500),
-        max_rounds: profile.max_rounds,
-        // Every command reaches every log; nodes quiesce when both
-        // populations' commands are applied.
-        stop_after_commands: Some(usize::try_from(profile.count * 2).expect("count fits")),
-    };
     let gateway_cfg = GatewayConfig {
         backpressure_limit: 65_536,
         redirect_to: None,
         write_timeout: Duration::from_millis(500),
         reack_index_cap: 1 << 20,
     };
-
-    // Every node: registry, recorder, slow ring, admin endpoint, and a
-    // real TCP gateway — the full `gencon-server` observability kit.
-    let mut admin_addrs = Vec::with_capacity(n);
+    let kits = AdminKit::spawn_all(n, profile.trace_events, profile.history_interval);
+    let spec = ClusterSpec {
+        params: params.clone(),
+        transport: NetTransportKind::Channel,
+        batch_cap: profile.batch_cap,
+        window: profile.window,
+        max_rounds: profile.max_rounds,
+        // Every command reaches every log; nodes quiesce when both
+        // populations' commands are applied.
+        stop_after_commands: Some(usize::try_from(profile.count * 2).expect("count fits")),
+        mode: StoreMode::Memory,
+        snapshot_every: 0,
+        instruments: kits.iter().map(|k| k.instruments(profile.traced)).collect(),
+    };
+    // Every node's hook is a real TCP gateway wired to its admin kit —
+    // the full `gencon-server` observability surface.
     let mut client_addrs = Vec::with_capacity(n);
-    let mut gateways = Vec::with_capacity(n);
-    let mut kits = Vec::with_capacity(n);
-    for node_id in 0..n {
-        let registry = Registry::new();
-        let peers = PeerTable::new(n);
-        let recorder = FlightRecorder::new(profile.trace_events);
-        let slow_ring = SlowCmdRing::new();
-        let history = HistoryRing::new(64);
-        history.spawn_sampler(registry.clone(), profile.history_interval);
-        let state = AdminState {
-            node_id,
-            registry: registry.clone(),
-            recorder: recorder.clone(),
-            peers: peers.clone(),
-            history,
-            hashes: HashCell::new(),
-            slow_cmds: slow_ring.clone(),
-            io_timeout: Duration::from_secs(2),
-        };
-        let addr =
-            spawn_admin("127.0.0.1:0".parse().expect("addr"), state).expect("bind admin endpoint");
-        admin_addrs.push(addr);
-
+    let cluster = Cluster::spawn(spec, |i, _| {
+        let kit = &kits[i];
         let mut gateway =
             ClientGateway::<LogApp<u64>>::listen("127.0.0.1:0".parse().expect("addr"), gateway_cfg)
                 .expect("bind gateway")
-                .with_metrics(&registry)
-                .with_slow_ring(slow_ring);
+                .with_metrics(&kit.state.registry)
+                .with_slow_ring(kit.state.slow_cmds.clone());
         if profile.traced {
-            gateway = gateway.with_trace(recorder.clone());
+            gateway = gateway.with_trace(kit.state.recorder.clone());
         }
         if profile.slo_p99_us > 0 {
-            gateway = gateway.with_slo(SloTracker::new(&registry, profile.slo_p99_us));
+            gateway = gateway.with_slo(SloTracker::new(&kit.state.registry, profile.slo_p99_us));
         }
         let gateway = gateway.with_applier(Applier::default());
         client_addrs.push(gateway.local_addr());
-        gateways.push(Some(gateway));
-        kits.push((registry, peers, recorder));
-    }
-
-    let mut handles = Vec::with_capacity(n);
-    for (i, tr) in ChannelTransport::mesh(n).into_iter().enumerate() {
-        let params = params.clone();
-        let profile = profile.clone();
-        let gateway = gateways[i].take().expect("gateway built above");
-        let (registry, peers, recorder) = kits[i].clone();
-        let traced = profile.traced;
-        handles.push(std::thread::spawn(move || {
-            let replica = BatchingReplica::new(tr.local(), params, profile.batch_cap, usize::MAX)
-                .expect("validated params")
-                .with_window(profile.window);
-            let (_replica, _t, stats, _gateway) = gencon_server::run_smr_node_observed(
-                replica,
-                tr,
-                cfg,
-                gateway,
-                Some(&registry),
-                traced.then_some(&recorder),
-                Some(&peers),
-            );
-            stats
-        }));
-    }
+        gateway
+    });
 
     // The two populations, on their own threads speaking real TCP.
     let started = Instant::now();
@@ -438,6 +386,7 @@ pub fn run_cmd_load(params: &Params<Batch<u64>>, profile: &CmdLoadProfile) -> Cm
     // not the node threads, so order only matters for clarity), then
     // join the nodes and assemble each population's local spans.
     let pull = if profile.traced {
+        let admin_addrs: Vec<SocketAddr> = kits.iter().map(|k| k.addr).collect();
         trace_pull_cmds(
             &admin_addrs,
             profile.trace_events,
@@ -451,16 +400,13 @@ pub fn run_cmd_load(params: &Params<Batch<u64>>, profile: &CmdLoadProfile) -> Cm
             slowest: Vec::new(),
         }
     };
-    let stats: Vec<NodeStats> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread"))
-        .collect();
+    let stats: Vec<NodeStats> = cluster.join().iter().map(|r| r.stats).collect();
 
     let spans_at = |node: usize| -> Vec<CmdSpan> {
         if !profile.traced {
             return Vec::new();
         }
-        let events = kits[node].2.tail(profile.trace_events);
+        let events = kits[node].state.recorder.tail(profile.trace_events);
         let slots = assemble_spans(&events);
         assemble_cmd_spans(&events, &slots)
     };

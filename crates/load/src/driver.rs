@@ -50,6 +50,32 @@ impl WorkloadKind {
             WorkloadKind::Poisson { rate } => format!("poisson({rate:.1})"),
         }
     }
+
+    /// Replica `i`'s arrival stream: `clients` clients, open-loop rngs
+    /// seeded from `seed + i`.
+    pub(crate) fn for_replica(&self, i: usize, clients: u16, seed: u64) -> Box<dyn Workload> {
+        match *self {
+            WorkloadKind::Closed { outstanding } => {
+                Box::new(ClosedLoop::new(i as u16, clients, outstanding))
+            }
+            WorkloadKind::Poisson { rate } => Box::new(OpenLoop::new(
+                i as u16,
+                clients,
+                rate,
+                seed.wrapping_add(i as u64),
+            )),
+        }
+    }
+}
+
+/// `count` per second of `wall` (0 for an empty window).
+pub(crate) fn per_sec(count: u64, wall: std::time::Duration) -> f64 {
+    let secs = wall.as_secs_f64();
+    if secs <= 0.0 {
+        0.0
+    } else {
+        count as f64 / secs
+    }
 }
 
 /// One load configuration: clients, workload shape, batching, stop rule.
@@ -200,19 +226,9 @@ pub fn run_load(
             BatchingReplica::new(id, params.clone(), profile.batch_cap, profile.commit_target)
                 .expect("validated params")
                 .with_window(profile.window);
-        let workload: Box<dyn Workload> = match profile.workload {
-            WorkloadKind::Closed { outstanding } => Box::new(ClosedLoop::new(
-                i as u16,
-                profile.clients_per_replica,
-                outstanding,
-            )),
-            WorkloadKind::Poisson { rate } => Box::new(OpenLoop::new(
-                i as u16,
-                profile.clients_per_replica,
-                rate,
-                profile.seed.wrapping_add(i as u64),
-            )),
-        };
+        let workload = profile
+            .workload
+            .for_replica(i, profile.clients_per_replica, profile.seed);
         builder = builder.honest_driven(
             replica,
             LoadHook {

@@ -1,16 +1,14 @@
 //! A log-bucketed, mergeable latency histogram.
 //!
-//! HDR-style log-linear bucketing: values below 2·2⁵ = 64 are recorded
+//! HDR-style log-linear bucketing, shared with
+//! [`gencon_metrics::Histogram`]: values below 2·2⁵ = 64 are recorded
 //! exactly; above, each power-of-two octave is split into 2⁵ = 32
 //! sub-buckets, bounding the relative quantile error at 1/32 ≈ 3.1% while
 //! keeping the whole `u64` range in under 2k fixed-size buckets. Histograms
 //! merge by bucket-wise addition, so per-shard recordings aggregate without
 //! loss beyond the shared bucketing.
 
-/// Sub-bucket resolution: 2^SUB sub-buckets per octave.
-const SUB: u32 = 5;
-/// Values below this are their own bucket (exact).
-const LINEAR_MAX: u64 = 1 << (SUB + 1);
+use gencon_metrics::{index_of, quantile_of};
 
 /// Log-bucketed histogram of `u64` samples (latencies in rounds, micros, …).
 ///
@@ -24,7 +22,7 @@ const LINEAR_MAX: u64 = 1 << (SUB + 1);
 /// assert_eq!(h.quantile(0.5), 50);
 /// assert_eq!(h.max(), 100);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -33,30 +31,10 @@ pub struct LatencyHistogram {
     max: u64,
 }
 
-/// Bucket index of `v`.
-fn index_of(v: u64) -> usize {
-    if v < LINEAR_MAX {
-        return v as usize;
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram::new()
     }
-    let msb = 63 - v.leading_zeros(); // ≥ SUB + 1
-    let octave = msb - SUB; // ≥ 1
-    let sub = (v >> (msb - SUB)) as usize - (1 << SUB); // 0..2^SUB
-    LINEAR_MAX as usize + ((octave as usize - 1) << SUB) + sub
-}
-
-/// Upper edge of bucket `idx` (the value a quantile in this bucket reports —
-/// conservative: never underestimates the true sample).
-fn value_of(idx: usize) -> u64 {
-    if (idx as u64) < LINEAR_MAX {
-        return idx as u64;
-    }
-    let rel = idx - LINEAR_MAX as usize;
-    let octave = (rel >> SUB) as u32 + 1;
-    let sub = (rel & ((1 << SUB) - 1)) as u64;
-    let width = 1u64 << octave; // bucket width in this octave
-    let lower = ((1u64 << SUB) + sub) << octave;
-    // (width - 1) first: for the top bucket `lower + width` is 2^64.
-    lower + (width - 1)
 }
 
 impl LatencyHistogram {
@@ -155,19 +133,7 @@ impl LatencyHistogram {
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Never report beyond the true max (upper edges round up).
-                return value_of(idx).min(self.max);
-            }
-        }
-        self.max
+        quantile_of(self.buckets.iter().copied(), self.count, self.max, q)
     }
 
     /// Median (p50).
@@ -198,6 +164,22 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gencon_metrics::{value_of, LINEAR_MAX};
+
+    #[test]
+    fn agrees_with_the_metrics_histogram() {
+        let mut local = LatencyHistogram::new();
+        let shared = gencon_metrics::Histogram::default();
+        for v in [0, 1, 63, 64, 65, 1_000, 123_456, u64::MAX / 3, u64::MAX] {
+            local.record(v);
+            shared.record(v);
+        }
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            assert_eq!(local.quantile(q), shared.quantile(q), "q = {q}");
+        }
+        assert_eq!(local.max(), shared.max());
+        assert_eq!(local.max(), u64::MAX);
+    }
 
     #[test]
     fn small_values_are_exact() {

@@ -20,13 +20,23 @@
 //!   mergeable, with p50/p90/p99/p999;
 //! * [`run_load`] — assembles replicas, workloads, network and fault mix
 //!   into one lock-step execution and reports a [`LoadReport`];
-//! * [`run_net_load`] — the same clients and histogram over *real*
+//! * [`run_store_load`] — the same clients and histogram over *real*
 //!   transports (`gencon-server` event-loop nodes on a Channel or
-//!   localhost-TCP mesh), measuring wall-clock microseconds instead of
-//!   rounds — the sim-vs-wire comparison of experiment E9;
+//!   localhost-TCP mesh, in memory or over a file WAL), measuring
+//!   wall-clock microseconds instead of rounds — the sim-vs-wire
+//!   comparison of experiment E9 and the durability cost of E10;
+//! * [`run_mon_load`] and [`run_cmd_load`] — the monitored cluster of
+//!   E14/E15 and the two-population command tracing of E16;
+//!   [`run_app_growth`] and [`run_app_transfer`] — the application-layer
+//!   measurements of E11;
 //! * [`BenchRow`]/[`NetRow`]/[`ResultsWriter`] — the `BENCH_smr.json` /
 //!   `BENCH_net.json` trajectory formats the `loadgen` and `loadgen_net`
 //!   experiment binaries emit.
+//!
+//! The real-node drivers (`run_store_load`, `run_mon_load`,
+//! `run_cmd_load`) share one cluster harness: it spawns the node threads
+//! over the chosen mesh, wires memory or durable storage and the admin
+//! kit, and gives each node the driver's hook.
 //!
 //! Everything is seeded: the same configuration reproduces the same
 //! arrivals, the same batches and the same histogram, round for round.
@@ -65,11 +75,11 @@
 #![warn(missing_docs)]
 
 mod appdriver;
+mod cluster;
 mod cmddriver;
 mod driver;
 mod hist;
 mod mondriver;
-mod netdriver;
 mod results;
 mod storedriver;
 mod workload;
@@ -78,13 +88,13 @@ pub use appdriver::{
     run_app_growth, run_app_transfer, AppGrowthProfile, AppGrowthReport, AppTransferProfile,
     AppTransferReport,
 };
+pub use cluster::{NetTransportKind, StoreMode};
 pub use cmddriver::{run_cmd_load, CmdLoadProfile, CmdLoadReport, PopulationStats, SegmentPcts};
 pub use driver::{run_load, LoadProfile, LoadReport, WorkloadKind};
 pub use hist::LatencyHistogram;
 pub use mondriver::{run_mon_load, MonLoadProfile, MonLoadReport};
-pub use netdriver::{run_net_load, NetLoadProfile, NetLoadReport, NetTransportKind};
 pub use results::{AppRow, BenchRow, JsonRow, NetRow, ResultsWriter, StoreRow};
-pub use storedriver::{run_store_load, SegmentStats, StoreLoadProfile, StoreLoadReport, StoreMode};
+pub use storedriver::{run_store_load, SegmentStats, StoreLoadProfile, StoreLoadReport};
 pub use workload::{decode_cmd, encode_cmd, ClosedLoop, OpenLoop, Workload};
 
 // The batched SMR surface this harness drives, re-exported for one-stop

@@ -1,12 +1,13 @@
 //! The cluster-monitoring load driver: experiment **E14**'s engine.
 //!
-//! [`run_mon_load`] runs a durable cluster like
-//! [`run_store_load`](crate::run_store_load) — one event-loop node
-//! thread per replica over an in-process channel mesh, each wrapping a
-//! real [`FileWal`](gencon_store::FileWal) — but gives **every** node
-//! its own metrics registry, history sampler, state-hash cell and admin
-//! endpoint, then attaches a [`Monitor`](gencon_server::mon::Monitor)
-//! that polls the cluster exactly as the `gencon-mon` binary would.
+//! [`run_mon_load`] runs a durable cluster on the shared cluster
+//! harness, as [`run_store_load`](crate::run_store_load) does — one
+//! event-loop node thread per replica over an in-process channel mesh,
+//! each wrapping a real [`FileWal`](gencon_store::FileWal) — but gives
+//! **every** node the admin kit (metrics registry, history sampler,
+//! state-hash cell, flight recorder and admin endpoint), then attaches a
+//! [`Monitor`](gencon_server::mon::Monitor) that polls the cluster
+//! exactly as the `gencon-mon` binary would.
 //!
 //! Mid-run the driver rehearses a node death: it flips the victim's
 //! admin endpoint offline (accepted connections are dropped — to the
@@ -18,44 +19,27 @@
 //! one — the cluster is demonstrably *not* diverging, with the evidence
 //! in one JSON object.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use gencon_app::{Folder, LogApp};
 use gencon_core::Params;
-use gencon_metrics::{HistoryRing, Registry};
-use gencon_net::{ChannelTransport, Transport};
 use gencon_server::mon::{
     trace_pull, Alert, AlertKind, ClusterReport, MonConfig, Monitor, TracePull,
     CLOCK_SAMPLES_DEFAULT,
 };
-use gencon_server::{
-    run_smr_node_observed, spawn_admin_gated, AdminState, DurableConfig, DurableNode, NodeHook,
-    NodeStats, ServerConfig,
-};
-use gencon_smr::{Batch, BatchingReplica};
-use gencon_store::{FileWal, WalConfig};
-use gencon_trace::{FlightRecorder, HashCell, PeerTable};
+use gencon_server::NodeStats;
+use gencon_smr::Batch;
 
-use crate::workload::{ClosedLoop, Workload};
+use crate::cluster::{AdminKit, NetTransportKind, StoreMode};
+use crate::driver::{LoadProfile, WorkloadKind};
+use crate::storedriver::StoreLoadProfile;
 
 /// One monitored-cluster run configuration.
 #[derive(Clone, Debug)]
 pub struct MonLoadProfile {
-    /// Clients attached to each replica (closed loop).
-    pub clients_per_replica: u16,
-    /// Outstanding commands per client.
-    pub outstanding: u32,
-    /// Max commands per proposed batch.
-    pub batch_cap: usize,
-    /// Slot pipelining window.
-    pub window: usize,
-    /// Commands each replica must ack before reporting done.
-    pub commit_target: usize,
-    /// Hard stop, in rounds per node.
-    pub max_rounds: u64,
+    /// Clients, workload, batching and stop rule; each replica must ack
+    /// `commit_target` commands durably.
+    pub load: LoadProfile,
     /// Group-commit window for each node's WAL.
     pub fsync_interval: Duration,
     /// Snapshot + hash-publication period in slots.
@@ -68,9 +52,6 @@ pub struct MonLoadProfile {
     pub polls_before_kill: u64,
     /// Cap on polls spent waiting for each watchdog transition.
     pub max_wait_polls: u64,
-    /// Data-dir root (a fresh subdir per node); a process-unique temp
-    /// dir when `None`.
-    pub data_root: Option<PathBuf>,
     /// Flight-recorder ring capacity per node (events). Must cover the
     /// whole run for the post-run stitch to see every committed slot.
     pub trace_events: usize,
@@ -81,19 +62,21 @@ impl MonLoadProfile {
     #[must_use]
     pub fn new(commit_target: usize) -> Self {
         MonLoadProfile {
-            clients_per_replica: 4,
-            outstanding: 4,
-            batch_cap: 16,
-            window: 4,
-            commit_target,
-            max_rounds: 200_000,
+            load: LoadProfile {
+                clients_per_replica: 4,
+                workload: WorkloadKind::Closed { outstanding: 4 },
+                batch_cap: 16,
+                window: 4,
+                commit_target,
+                max_rounds: 200_000,
+                seed: 42,
+            },
             fsync_interval: Duration::from_millis(5),
             snapshot_every: 32,
             poll_interval: Duration::from_millis(100),
             kill_node: 1,
             polls_before_kill: 2,
             max_wait_polls: 100,
-            data_root: None,
             trace_events: 1 << 17,
         }
     }
@@ -161,37 +144,6 @@ impl MonLoadReport {
     }
 }
 
-/// Closed-loop workload + done-counting hook (the gate makes "acked"
-/// mean durably acked, as in `run_store_load`).
-struct MonLoadHook {
-    workload: ClosedLoop,
-    gate: Arc<AtomicU64>,
-    target: usize,
-    n: usize,
-    marked_done: bool,
-    done: Arc<AtomicUsize>,
-}
-
-impl NodeHook<u64> for MonLoadHook {
-    fn before_round(&mut self, round: u64, replica: &mut BatchingReplica<u64>) {
-        let arrivals =
-            self.workload
-                .arrivals_from(round, replica.applied_base(), replica.applied());
-        if !arrivals.is_empty() {
-            replica.submit_all(arrivals);
-        }
-    }
-
-    fn should_stop(&mut self, replica: &BatchingReplica<u64>) -> bool {
-        let acked = (self.gate.load(Ordering::SeqCst) as usize).min(replica.applied_len());
-        if !self.marked_done && acked >= self.target {
-            self.marked_done = true;
-            self.done.fetch_add(1, Ordering::SeqCst);
-        }
-        self.done.load(Ordering::SeqCst) >= self.n
-    }
-}
-
 /// Runs a durable cluster with per-node admin endpoints and a live
 /// monitor, rehearsing an admin-endpoint death mid-run (see the module
 /// docs).
@@ -200,113 +152,32 @@ impl NodeHook<u64> for MonLoadHook {
 ///
 /// Panics if a data dir or admin endpoint cannot be created, or a node
 /// thread dies.
-#[allow(clippy::too_many_lines)]
 pub fn run_mon_load(params: &Params<Batch<u64>>, profile: &MonLoadProfile) -> MonLoadReport {
     let n = params.cfg.n();
     assert!(profile.kill_node < n, "kill_node out of range");
-    let done = Arc::new(AtomicUsize::new(0));
-    let cfg = ServerConfig {
-        initial_round_timeout: Duration::from_millis(30),
-        min_round_timeout: Duration::from_millis(1),
-        max_round_timeout: Duration::from_millis(500),
-        max_rounds: profile.max_rounds,
-        stop_after_commands: None,
-    };
-    let data_root = profile.data_root.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("gencon-mon-load-{}", std::process::id()))
-    });
-
-    // Every node gets the full observability kit: registry, sampler,
-    // hash cell, peer table, and a gated admin endpoint on its own port.
-    let mut addrs = Vec::with_capacity(n);
-    let mut offline = Vec::with_capacity(n);
-    let mut kits = Vec::with_capacity(n);
-    for node_id in 0..n {
-        let registry = Registry::new();
-        let peers = PeerTable::new(n);
-        let hashes = HashCell::new();
-        let history = HistoryRing::new(64);
-        history.spawn_sampler(registry.clone(), profile.poll_interval);
-        let gate = Arc::new(AtomicBool::new(false));
-        // The recorder is shared between the node (which records into
-        // it) and the admin endpoint (whose `spans`/`clock` commands
-        // the post-run trace pull reads).
-        let recorder = FlightRecorder::new(profile.trace_events);
-        let state = AdminState {
-            node_id,
-            registry: registry.clone(),
-            recorder: recorder.clone(),
-            peers: peers.clone(),
-            history,
-            hashes: hashes.clone(),
-            slow_cmds: gencon_trace::SlowCmdRing::new(),
-            io_timeout: Duration::from_secs(2),
-        };
-        let addr = spawn_admin_gated("127.0.0.1:0".parse().expect("addr"), state, gate.clone())
-            .expect("bind admin endpoint");
-        addrs.push(addr);
-        offline.push(gate);
-        kits.push((registry, peers, hashes, recorder));
+    // Every node gets the admin kit: registry, sampler, hash cell, peer
+    // table, recorder and a gated admin endpoint on its own port.
+    let kits = AdminKit::spawn_all(n, profile.trace_events, profile.poll_interval);
+    let instruments = kits.iter().map(|k| k.instruments(true)).collect();
+    let cluster = StoreLoadProfile {
+        load: profile.load.clone(),
+        transport: NetTransportKind::Channel,
+        mode: StoreMode::Durable {
+            fsync_interval: profile.fsync_interval,
+            fast_ack: false,
+        },
+        snapshot_every: profile.snapshot_every,
+        metrics: None,
+        trace: None,
     }
-
-    let mut handles = Vec::with_capacity(n);
-    for (i, tr) in ChannelTransport::mesh(n).into_iter().enumerate() {
-        let params = params.clone();
-        let profile = profile.clone();
-        let dir = data_root.join(format!("node{i}"));
-        let (registry, peers, hashes, recorder) = kits[i].clone();
-        let gate = Arc::new(AtomicU64::new(0));
-        let hook = MonLoadHook {
-            workload: ClosedLoop::new(i as u16, profile.clients_per_replica, profile.outstanding),
-            gate: Arc::clone(&gate),
-            target: profile.commit_target,
-            n,
-            marked_done: false,
-            done: Arc::clone(&done),
-        };
-        handles.push(std::thread::spawn(move || {
-            let replica = BatchingReplica::new(tr.local(), params, profile.batch_cap, usize::MAX)
-                .expect("validated params")
-                .with_window(profile.window);
-            let (wal, _recovery) = FileWal::open(
-                &dir,
-                WalConfig {
-                    fsync_interval: profile.fsync_interval,
-                    ..WalConfig::default()
-                },
-            )
-            .expect("open wal");
-            let node = DurableNode::new(
-                wal,
-                DurableConfig {
-                    snapshot_every: profile.snapshot_every,
-                    snapshot_tail: 32,
-                    durable_ack: true,
-                },
-                Folder::<LogApp<u64>>::default(),
-                hook,
-            )
-            .with_gate(gate)
-            .with_metrics(&registry)
-            .with_hash_cell(hashes);
-            let (replica, _t, stats, _node) = run_smr_node_observed(
-                replica,
-                tr,
-                cfg,
-                node,
-                Some(&registry),
-                Some(&recorder),
-                Some(&peers),
-            );
-            (replica, stats)
-        }));
-    }
+    .spawn(params, instruments, None);
+    let addrs: Vec<_> = kits.iter().map(|k| k.addr).collect();
+    let offline = &kits[profile.kill_node].offline;
 
     // The monitor runs in this thread, exactly as gencon-mon would:
     // healthy polls, then the kill choreography, then drain to the end.
-    let admin_addrs = addrs.clone();
     let mut mon = Monitor::new(
-        addrs,
+        addrs.clone(),
         MonConfig {
             interval: profile.poll_interval,
             connect_timeout: Duration::from_millis(500),
@@ -330,40 +201,32 @@ pub fn run_mon_load(params: &Params<Batch<u64>>, profile: &MonLoadProfile) -> Mo
     for _ in 0..profile.polls_before_kill {
         poll(&mut mon, &mut alerts);
     }
-    offline[profile.kill_node].store(true, Ordering::Relaxed);
-    let mut waited = 0;
-    while waited < profile.max_wait_polls
-        && !alerts
-            .iter()
-            .any(|a| a.kind == AlertKind::Unreachable && a.node == Some(profile.kill_node))
-    {
-        poll(&mut mon, &mut alerts);
-        waited += 1;
-    }
-    offline[profile.kill_node].store(false, Ordering::Relaxed);
-    waited = 0;
-    while waited < profile.max_wait_polls
-        && !alerts
-            .iter()
-            .any(|a| a.kind == AlertKind::StragglerRecovered && a.node == Some(profile.kill_node))
-    {
-        poll(&mut mon, &mut alerts);
-        waited += 1;
-    }
-    while handles.iter().any(|h| !h.is_finished()) {
+    // Polls until the watchdog raised `kind` for the victim (bounded).
+    let await_alert = |kind: AlertKind, mon: &mut Monitor, alerts: &mut Vec<Alert>| {
+        for _ in 0..profile.max_wait_polls {
+            if alerts
+                .iter()
+                .any(|a| a.kind == kind && a.node == Some(profile.kill_node))
+            {
+                return;
+            }
+            poll(mon, alerts);
+        }
+    };
+    offline.store(true, Ordering::Relaxed);
+    await_alert(AlertKind::Unreachable, &mut mon, &mut alerts);
+    offline.store(false, Ordering::Relaxed);
+    await_alert(AlertKind::StragglerRecovered, &mut mon, &mut alerts);
+    while !cluster.finished() {
         poll(&mut mon, &mut alerts);
     }
-
-    let results: Vec<(BatchingReplica<u64>, NodeStats)> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread"))
-        .collect();
+    let results = cluster.join();
 
     // E15: with the cluster quiesced (recorders hold the whole run),
     // estimate every node's clock and stitch the cross-node autopsy —
     // exactly what `gencon-mon trace-pull` does against live nodes.
     let trace = trace_pull(
-        &admin_addrs,
+        &addrs,
         profile.trace_events,
         CLOCK_SAMPLES_DEFAULT,
         &MonConfig::default(),
@@ -378,11 +241,7 @@ pub fn run_mon_load(params: &Params<Batch<u64>>, profile: &MonLoadProfile) -> Mo
         .is_some_and(|a| a.agreed && a.hashes.len() == n);
     let all_reached_target = results
         .iter()
-        .all(|(rep, _)| rep.applied_len() >= profile.commit_target);
-
-    if profile.data_root.is_none() {
-        std::fs::remove_dir_all(&data_root).ok();
-    }
+        .all(|r| r.replica.applied_len() >= profile.load.commit_target);
     let stitched_ratio = if final_report.max_committed == 0 {
         0.0
     } else {
@@ -394,7 +253,7 @@ pub fn run_mon_load(params: &Params<Batch<u64>>, profile: &MonLoadProfile) -> Mo
         final_report,
         all_reached_target,
         hashes_agree,
-        stats: results.into_iter().map(|(_, s)| s).collect(),
+        stats: results.iter().map(|r| r.stats).collect(),
         trace,
         stitched_ratio,
     }

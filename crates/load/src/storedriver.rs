@@ -1,9 +1,11 @@
-//! The durability load driver: the same clients, batching and histogram
-//! as [`run_net_load`](crate::run_net_load), but with the storage layer
-//! in the loop — experiment **E10**'s engine.
+//! The real-node load driver: the same clients, batching and histogram
+//! as [`run_load`](crate::run_load), but over actual transports and wall
+//! clocks, with the storage layer optionally in the loop — the engine of
+//! experiments **E9** (memory mode, Channel vs Tcp) and **E10** (memory
+//! vs durable).
 //!
 //! [`run_store_load`] runs a cluster of `gencon-server` event-loop nodes
-//! over an in-process channel mesh in one of two modes:
+//! over a Channel or localhost-Tcp mesh in one of two modes:
 //!
 //! * **Memory** — no persistence; a command counts as *acked* when
 //!   applied (the PR-3 baseline);
@@ -15,87 +17,43 @@
 //!   submit→durable-ack, which is what a client of a durable cluster
 //!   actually observes.
 //!
-//! The interesting number is the durable-to-memory throughput ratio:
-//! group commit (one fsync per `fsync_interval`, not per slot) is what
-//! keeps it small.
+//! Latency is measured in **wall-clock microseconds** at node 0 into the
+//! shared [`LatencyHistogram`], so `BENCH_net.json` rows compare directly
+//! with `BENCH_smr.json`'s simulated rounds. In durable mode the
+//! interesting number is the durable-to-memory throughput ratio: group
+//! commit (one fsync per `fsync_interval`, not per slot) is what keeps it
+//! small.
 
-use std::path::PathBuf;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gencon_app::{Folder, LogApp};
 use gencon_core::Params;
 use gencon_metrics::Registry;
-use gencon_net::{ChannelTransport, Transport};
-use gencon_server::{
-    run_smr_node_observed, DurableConfig, DurableNode, NodeHook, NodeStats, ServerConfig,
-};
+use gencon_server::{NodeHook, NodeStats};
 use gencon_smr::{Batch, BatchingReplica};
-use gencon_store::{FileWal, Log, WalConfig};
 use gencon_trace::{assemble_spans, FlightRecorder, SlotSpan};
 
-use crate::driver::WorkloadKind;
+use crate::cluster::{logs_agree, Cluster, ClusterSpec, Instruments, NetTransportKind, StoreMode};
+use crate::driver::{per_sec, LoadProfile, WorkloadKind};
 use crate::hist::LatencyHistogram;
-use crate::workload::{ClosedLoop, OpenLoop, Workload};
+use crate::workload::Workload;
 
-/// Whether (and how) the storage layer participates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreMode {
-    /// No persistence; acks at apply time.
-    Memory,
-    /// File WAL per node; acks at the durable watermark.
-    Durable {
-        /// Group-commit window (`Duration::ZERO` fsyncs every round).
-        fsync_interval: Duration,
-        /// `true` acks at apply time even though the WAL runs (the
-        /// fast-ack durability mode).
-        fast_ack: bool,
-    },
-}
-
-impl StoreMode {
-    /// Label for results rows.
-    #[must_use]
-    pub fn label(self) -> String {
-        match self {
-            StoreMode::Memory => "memory".to_string(),
-            StoreMode::Durable {
-                fsync_interval,
-                fast_ack,
-            } => format!(
-                "durable({},fsync={}ms)",
-                if fast_ack { "fast-ack" } else { "durable-ack" },
-                fsync_interval.as_millis()
-            ),
-        }
-    }
-}
-
-/// One durability load configuration.
+/// One real-node load configuration.
 #[derive(Clone, Debug)]
 pub struct StoreLoadProfile {
-    /// Clients attached to each replica.
-    pub clients_per_replica: u16,
-    /// Arrival model.
-    pub workload: WorkloadKind,
-    /// Max commands per proposed batch.
-    pub batch_cap: usize,
-    /// Slot pipelining window.
-    pub window: usize,
-    /// Commands each replica must *ack* before reporting done.
-    pub commit_target: usize,
-    /// Hard stop, in rounds per node.
-    pub max_rounds: u64,
-    /// Base seed for per-replica workload rngs.
-    pub seed: u64,
+    /// Clients, workload, batching and stop rule — the same profile
+    /// [`run_load`](crate::run_load) simulates. Each replica must *ack*
+    /// `commit_target` commands before reporting done; `max_rounds` is
+    /// per node.
+    pub load: LoadProfile,
+    /// Mesh transport.
+    pub transport: NetTransportKind,
     /// Storage participation.
     pub mode: StoreMode,
     /// Snapshot + compaction period in slots (durable mode; 0 disables).
     pub snapshot_every: u64,
-    /// Data-dir root for durable nodes (a fresh subdir per node); a
-    /// process-unique temp dir when `None`.
-    pub data_root: Option<PathBuf>,
     /// Per-stage metrics registry attached to the measurement replica
     /// (node 0): ingest/order counters from the event loop, persist
     /// counters and fsync latency from the durable wrapper. `None` skips
@@ -109,20 +67,23 @@ pub struct StoreLoadProfile {
 }
 
 impl StoreLoadProfile {
-    /// A sensible default configuration for localhost-scale runs.
+    /// A sensible default configuration for localhost-scale runs over a
+    /// Channel mesh.
     #[must_use]
     pub fn new(mode: StoreMode, clients_per_replica: u16, batch_cap: usize, target: usize) -> Self {
         StoreLoadProfile {
-            clients_per_replica,
-            workload: WorkloadKind::Closed { outstanding: 4 },
-            batch_cap,
-            window: 4,
-            commit_target: target,
-            max_rounds: 200_000,
-            seed: 42,
+            load: LoadProfile {
+                clients_per_replica,
+                workload: WorkloadKind::Closed { outstanding: 4 },
+                batch_cap,
+                window: 4,
+                commit_target: target,
+                max_rounds: 200_000,
+                seed: 42,
+            },
+            transport: NetTransportKind::Channel,
             mode,
             snapshot_every: 256,
-            data_root: None,
             metrics: None,
             trace: None,
         }
@@ -141,6 +102,44 @@ impl StoreLoadProfile {
     pub fn with_trace(mut self, recorder: FlightRecorder) -> Self {
         self.trace = Some(recorder);
         self
+    }
+
+    /// Spawns this profile's cluster with a [`WorkloadHook`] on every
+    /// node (node `i` instrumented by `instruments[i]`); with `latency`
+    /// the hooks log submits there and node 0 measures.
+    pub(crate) fn spawn(
+        &self,
+        params: &Params<Batch<u64>>,
+        instruments: Vec<Instruments>,
+        latency: Option<&Arc<Latency>>,
+    ) -> Cluster {
+        let n = params.cfg.n();
+        let done = Arc::new(AtomicUsize::new(0));
+        let spec = ClusterSpec {
+            params: params.clone(),
+            transport: self.transport,
+            batch_cap: self.load.batch_cap,
+            window: self.load.window,
+            max_rounds: self.load.max_rounds,
+            stop_after_commands: None,
+            mode: self.mode,
+            snapshot_every: self.snapshot_every,
+            instruments,
+        };
+        let load = &self.load;
+        Cluster::spawn(spec, |i, ack_gate| WorkloadHook {
+            workload: load
+                .workload
+                .for_replica(i, load.clients_per_replica, load.seed),
+            ack_gate,
+            latency: latency.cloned(),
+            measure: i == 0,
+            measured: 0,
+            target: load.commit_target,
+            marked_done: false,
+            done: Arc::clone(&done),
+            quorum: n,
+        })
     }
 }
 
@@ -198,12 +197,7 @@ impl StoreLoadReport {
     /// Acked commands per second at the measurement replica.
     #[must_use]
     pub fn cmds_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.acked_cmds as f64 / secs
-        }
+        per_sec(self.acked_cmds, self.wall)
     }
 
     /// Percentiles of each stage segment over this run's slot spans
@@ -236,43 +230,120 @@ impl StoreLoadReport {
     }
 }
 
-type SubmitLog = Arc<Mutex<std::collections::HashMap<u64, Instant>>>;
-type MeasureWindow = Arc<Mutex<(Option<Instant>, Option<Instant>)>>;
+/// Runs one load configuration over `n` node threads and reports ack
+/// throughput, latency and storage statistics.
+///
+/// # Panics
+///
+/// Panics if a data dir cannot be created, the mesh cannot be
+/// established, or a node thread dies.
+pub fn run_store_load(params: &Params<Batch<u64>>, profile: &StoreLoadProfile) -> StoreLoadReport {
+    let latency = Arc::new(Latency::default());
+    let node0 = Instruments {
+        registry: profile.metrics.clone(),
+        recorder: profile.trace.clone(),
+        ..Instruments::default()
+    };
+    let fallback_start = Instant::now();
+    let results = profile.spawn(params, vec![node0], Some(&latency)).join();
+    let wall = latency.serving_window(fallback_start);
+    let hist = latency.histogram();
+    let spans = profile
+        .trace
+        .as_ref()
+        .map(|r| assemble_spans(&r.tail(r.capacity())))
+        .unwrap_or_default();
+    StoreLoadReport {
+        committed_cmds: results[0].replica.applied_len() as u64,
+        acked_cmds: hist.count(),
+        wall,
+        rounds: results[0].stats.rounds,
+        hist,
+        all_reached_target: results
+            .iter()
+            .all(|r| r.replica.applied_len() >= profile.load.commit_target),
+        logs_agree: logs_agree(&results),
+        stats: results.iter().map(|r| r.stats).collect(),
+        wal_bytes: results.iter().map(|r| r.wal_bytes).sum(),
+        wal_syncs: results.iter().map(|r| r.wal_syncs).sum(),
+        snapshots: results.iter().map(|r| r.snapshots).sum(),
+        spans,
+    }
+}
 
-/// Workload + ack-watermark latency hook.
-struct StoreLoadHook {
+/// Submit instants, shared by a cluster's hooks, and what the measuring
+/// node records.
+#[derive(Default)]
+pub(crate) struct Latency {
+    submits: Mutex<HashMap<u64, Instant>>,
+    meter: Mutex<Meter>,
+}
+
+/// Submit→ack latencies and the serving window (first round → target
+/// acked) of the measuring node.
+#[derive(Default)]
+struct Meter {
+    hist: LatencyHistogram,
+    from: Option<Instant>,
+    to: Option<Instant>,
+}
+
+impl Latency {
+    fn histogram(&self) -> LatencyHistogram {
+        self.meter.lock().expect("meter lock").hist.clone()
+    }
+
+    /// The serving window, or the time since `fallback` if the measuring
+    /// node never reached its target.
+    fn serving_window(&self, fallback: Instant) -> Duration {
+        match *self.meter.lock().expect("meter lock") {
+            Meter {
+                from: Some(from),
+                to: Some(to),
+                ..
+            } => to.duration_since(from),
+            _ => fallback.elapsed(),
+        }
+    }
+}
+
+/// The workload hook: submits the node's arrivals each round, records
+/// submit→ack latency on the measuring node, and keeps the node running
+/// (helping laggards) until `quorum` nodes acked their target.
+struct WorkloadHook {
     workload: Box<dyn Workload>,
-    submits: SubmitLog,
-    hist: Arc<Mutex<LatencyHistogram>>,
-    window: MeasureWindow,
-    /// Durable watermark shared with the `DurableNode` wrapper; `None`
-    /// in memory mode (acks at apply).
-    gate: Option<Arc<AtomicU64>>,
+    /// The durable watermark in durable-ack mode; `None` acks at apply.
+    ack_gate: Option<Arc<AtomicU64>>,
+    /// Where submit instants are logged; the `measure` node also records
+    /// ack latencies and the serving window there.
+    latency: Option<Arc<Latency>>,
     measure: bool,
     /// Absolute applied offset up to which latency was recorded.
     measured: usize,
     target: usize,
-    n: usize,
     marked_done: bool,
     done: Arc<AtomicUsize>,
+    quorum: usize,
 }
 
-impl StoreLoadHook {
+impl WorkloadHook {
     fn acked(&self, replica: &BatchingReplica<u64>) -> usize {
-        self.gate.as_ref().map_or(replica.applied_len(), |g| {
+        self.ack_gate.as_ref().map_or(replica.applied_len(), |g| {
             (g.load(Ordering::SeqCst) as usize).min(replica.applied_len())
         })
     }
+
+    /// The meter, on the measuring node only.
+    fn meter(&self) -> Option<MutexGuard<'_, Meter>> {
+        let latency = self.latency.as_ref().filter(|_| self.measure)?;
+        Some(latency.meter.lock().expect("meter lock"))
+    }
 }
 
-impl NodeHook<u64> for StoreLoadHook {
+impl NodeHook<u64> for WorkloadHook {
     fn before_round(&mut self, round: u64, replica: &mut BatchingReplica<u64>) {
-        if self.measure {
-            self.window
-                .lock()
-                .expect("window lock")
-                .0
-                .get_or_insert_with(Instant::now);
+        if let Some(mut meter) = self.meter() {
+            meter.from.get_or_insert_with(Instant::now);
         }
         let arrivals =
             self.workload
@@ -280,8 +351,8 @@ impl NodeHook<u64> for StoreLoadHook {
         if arrivals.is_empty() {
             return;
         }
-        {
-            let mut submits = self.submits.lock().expect("submit log lock");
+        if let Some(latency) = &self.latency {
+            let mut submits = latency.submits.lock().expect("submit log lock");
             let now = Instant::now();
             for &cmd in &arrivals {
                 submits.entry(cmd).or_insert(now);
@@ -291,21 +362,20 @@ impl NodeHook<u64> for StoreLoadHook {
     }
 
     fn after_round(&mut self, _round: u64, replica: &mut BatchingReplica<u64>) {
-        if !self.measure {
-            return;
-        }
         let acked = self.acked(replica);
         if acked <= self.measured {
             return;
         }
-        let base = replica.applied_base();
-        let now = Instant::now();
-        let submits = self.submits.lock().expect("submit log lock");
-        let mut hist = self.hist.lock().expect("hist lock");
-        for abs in self.measured.max(base)..acked {
-            let cmd = replica.applied()[abs - base];
-            if let Some(&sent) = submits.get(&cmd) {
-                hist.record(now.duration_since(sent).as_micros().max(1) as u64);
+        if let (Some(latency), Some(mut meter)) = (&self.latency, self.meter()) {
+            let base = replica.applied_base();
+            let now = Instant::now();
+            let submits = latency.submits.lock().expect("submit log lock");
+            for abs in self.measured.max(base)..acked {
+                if let Some(&sent) = submits.get(&replica.applied()[abs - base]) {
+                    meter
+                        .hist
+                        .record(now.duration_since(sent).as_micros().max(1) as u64);
+                }
             }
         }
         self.measured = acked;
@@ -314,223 +384,12 @@ impl NodeHook<u64> for StoreLoadHook {
     fn should_stop(&mut self, replica: &BatchingReplica<u64>) -> bool {
         if !self.marked_done && self.acked(replica) >= self.target {
             self.marked_done = true;
-            if self.measure {
-                self.window.lock().expect("window lock").1 = Some(Instant::now());
+            if let Some(mut meter) = self.meter() {
+                meter.to = Some(Instant::now());
             }
             self.done.fetch_add(1, Ordering::SeqCst);
         }
-        self.done.load(Ordering::SeqCst) >= self.n
-    }
-}
-
-/// Runs one durability load configuration over `n` node threads (channel
-/// mesh) and reports ack throughput, latency and storage statistics.
-///
-/// # Panics
-///
-/// Panics if a data dir cannot be created or a node thread dies.
-pub fn run_store_load(params: &Params<Batch<u64>>, profile: &StoreLoadProfile) -> StoreLoadReport {
-    let n = params.cfg.n();
-    let submits: SubmitLog = Arc::new(Mutex::new(std::collections::HashMap::new()));
-    let hist = Arc::new(Mutex::new(LatencyHistogram::new()));
-    let window: MeasureWindow = Arc::new(Mutex::new((None, None)));
-    let done = Arc::new(AtomicUsize::new(0));
-    let cfg = ServerConfig {
-        initial_round_timeout: Duration::from_millis(30),
-        min_round_timeout: Duration::from_millis(1),
-        max_round_timeout: Duration::from_millis(500),
-        max_rounds: profile.max_rounds,
-        stop_after_commands: None,
-    };
-    let data_root = profile.data_root.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "gencon-store-load-{}-{}",
-            std::process::id(),
-            profile.seed
-        ))
-    });
-
-    let make_hook = |i: usize, gate: Option<Arc<AtomicU64>>| -> StoreLoadHook {
-        let workload: Box<dyn Workload> = match profile.workload {
-            WorkloadKind::Closed { outstanding } => Box::new(ClosedLoop::new(
-                i as u16,
-                profile.clients_per_replica,
-                outstanding,
-            )),
-            WorkloadKind::Poisson { rate } => Box::new(OpenLoop::new(
-                i as u16,
-                profile.clients_per_replica,
-                rate,
-                profile.seed.wrapping_add(i as u64),
-            )),
-        };
-        StoreLoadHook {
-            workload,
-            submits: Arc::clone(&submits),
-            hist: Arc::clone(&hist),
-            window: Arc::clone(&window),
-            gate,
-            measure: i == 0,
-            measured: 0,
-            target: profile.commit_target,
-            n,
-            marked_done: false,
-            done: Arc::clone(&done),
-        }
-    };
-
-    let fallback_start = Instant::now();
-    type NodeOut = (BatchingReplica<u64>, NodeStats, u64, u64, u64);
-    let mut handles: Vec<std::thread::JoinHandle<NodeOut>> = Vec::new();
-    for (i, tr) in ChannelTransport::mesh(n).into_iter().enumerate() {
-        let params = params.clone();
-        let profile = profile.clone();
-        let data_root = data_root.clone();
-        let hook_parts = match profile.mode {
-            StoreMode::Memory => (make_hook(i, None), None),
-            StoreMode::Durable {
-                fsync_interval,
-                fast_ack,
-            } => {
-                let gate = Arc::new(AtomicU64::new(0));
-                let hook = make_hook(i, (!fast_ack).then(|| Arc::clone(&gate)));
-                (hook, Some((gate, fsync_interval, fast_ack)))
-            }
-        };
-        // Per-stage metrics and the flight recorder instrument the
-        // measurement replica only.
-        let reg = if i == 0 {
-            profile.metrics.clone()
-        } else {
-            None
-        };
-        let rec = if i == 0 { profile.trace.clone() } else { None };
-        handles.push(std::thread::spawn(move || {
-            let replica =
-                BatchingReplica::new(tr.local(), params.clone(), profile.batch_cap, usize::MAX)
-                    .expect("validated params")
-                    .with_window(profile.window);
-            let (hook, durable) = hook_parts;
-            match durable {
-                None => {
-                    let (replica, _t, stats, _hook) = run_smr_node_observed(
-                        replica,
-                        tr,
-                        cfg,
-                        hook,
-                        reg.as_ref(),
-                        rec.as_ref(),
-                        None,
-                    );
-                    (replica, stats, 0, 0, 0)
-                }
-                Some((gate, fsync_interval, fast_ack)) => {
-                    let dir = data_root.join(format!("node{i}"));
-                    let (wal, _recovery) = FileWal::open(
-                        &dir,
-                        WalConfig {
-                            fsync_interval,
-                            ..WalConfig::default()
-                        },
-                    )
-                    .expect("open wal");
-                    let mut node = DurableNode::new(
-                        wal,
-                        DurableConfig {
-                            snapshot_every: profile.snapshot_every,
-                            snapshot_tail: 32,
-                            durable_ack: !fast_ack,
-                        },
-                        Folder::<LogApp<u64>>::default(),
-                        hook,
-                    )
-                    .with_gate(gate);
-                    if let Some(r) = &reg {
-                        node = node.with_metrics(r);
-                    }
-                    if let Some(r) = &rec {
-                        node = node.with_trace(r.clone());
-                    }
-                    let (replica, _t, stats, node) = run_smr_node_observed(
-                        replica,
-                        tr,
-                        cfg,
-                        node,
-                        reg.as_ref(),
-                        rec.as_ref(),
-                        None,
-                    );
-                    // One guard for both reads: the store lock is not
-                    // reentrant, and a second `store()` in the same
-                    // expression would deadlock against the first guard's
-                    // temporary.
-                    let (bytes, syncs) = {
-                        let store = node.store();
-                        (store.bytes_appended(), store.syncs())
-                    };
-                    (replica, stats, bytes, syncs, node.snapshots_taken())
-                }
-            }
-        }));
-    }
-
-    let results: Vec<NodeOut> = handles
-        .into_iter()
-        .map(|h| h.join().expect("node thread"))
-        .collect();
-    let wall = {
-        let w = window.lock().expect("window lock");
-        match (w.0, w.1) {
-            (Some(from), Some(to)) => to.duration_since(from),
-            _ => fallback_start.elapsed(),
-        }
-    };
-
-    // Agreement over overlapping suffixes (compaction trims prefixes at
-    // replica-specific times).
-    let reference = &results[0].0;
-    let mut logs_agree = true;
-    let mut all_reached_target = true;
-    for (rep, _, _, _, _) in &results {
-        let lo = reference.applied_base().max(rep.applied_base());
-        let hi = reference.applied_len().min(rep.applied_len());
-        for abs in lo..hi {
-            if reference.applied()[abs - reference.applied_base()]
-                != rep.applied()[abs - rep.applied_base()]
-            {
-                logs_agree = false;
-                break;
-            }
-        }
-        if rep.applied_len() < profile.commit_target {
-            all_reached_target = false;
-        }
-    }
-
-    let hist = hist.lock().expect("hist lock").clone();
-    let acked_cmds = hist.count();
-    // Tidy the temp data dirs (keep user-specified roots).
-    if profile.data_root.is_none() {
-        std::fs::remove_dir_all(&data_root).ok();
-    }
-    let spans = profile
-        .trace
-        .as_ref()
-        .map(|r| assemble_spans(&r.tail(r.capacity())))
-        .unwrap_or_default();
-    StoreLoadReport {
-        committed_cmds: results[0].0.applied_len() as u64,
-        acked_cmds,
-        wall,
-        rounds: results[0].1.rounds,
-        hist,
-        all_reached_target,
-        logs_agree,
-        stats: results.iter().map(|(_, s, _, _, _)| *s).collect(),
-        wal_bytes: results.iter().map(|(_, _, b, _, _)| b).sum(),
-        wal_syncs: results.iter().map(|(_, _, _, s, _)| s).sum(),
-        snapshots: results.iter().map(|(_, _, _, _, c)| c).sum(),
-        spans,
+        self.done.load(Ordering::SeqCst) >= self.quorum
     }
 }
 
@@ -540,15 +399,65 @@ mod tests {
     use gencon_algos::{paxos, pbft};
     use gencon_types::ProcessId;
 
+    /// Runs `profile` and checks what every configuration must deliver:
+    /// each replica reached the target, logs agree, and node 0 measured
+    /// wall-clock ack latencies.
+    fn run_to_target(params: &Params<Batch<u64>>, profile: &StoreLoadProfile) -> StoreLoadReport {
+        let report = run_store_load(params, profile);
+        assert!(report.all_reached_target, "rounds: {}", report.rounds);
+        assert!(report.logs_agree);
+        let target = profile.load.commit_target as u64;
+        assert!(report.committed_cmds >= target);
+        assert!(report.acked_cmds >= target, "acked {}", report.acked_cmds);
+        assert!(report.hist.p50() >= 1, "latencies are in micros");
+        assert!(report.cmds_per_sec() > 0.0);
+        assert_eq!(report.stats.len(), params.cfg.n());
+        report
+    }
+
+    fn memory(transport: NetTransportKind, target: usize) -> StoreLoadProfile {
+        let mut profile = StoreLoadProfile::new(StoreMode::Memory, 4, 16, target);
+        profile.transport = transport;
+        profile
+    }
+
     #[test]
     fn memory_mode_reaches_target() {
         let spec = paxos::<Batch<u64>>(3, 1, ProcessId::new(0)).unwrap();
-        let profile = StoreLoadProfile::new(StoreMode::Memory, 4, 16, 120);
-        let report = run_store_load(&spec.params, &profile);
-        assert!(report.all_reached_target, "rounds: {}", report.rounds);
-        assert!(report.logs_agree);
-        assert!(report.acked_cmds >= 120);
+        let report = run_to_target(&spec.params, &memory(NetTransportKind::Channel, 120));
         assert_eq!(report.wal_bytes, 0);
+    }
+
+    #[test]
+    fn pbft_tcp_memory_mode_reaches_target() {
+        let spec = pbft::<Batch<u64>>(4, 1).unwrap();
+        run_to_target(&spec.params, &memory(NetTransportKind::Tcp, 100));
+    }
+
+    #[test]
+    fn open_loop_poisson_over_channels() {
+        let spec = paxos::<Batch<u64>>(3, 1, ProcessId::new(0)).unwrap();
+        let mut profile = memory(NetTransportKind::Channel, 60);
+        profile.load.workload = WorkloadKind::Poisson { rate: 3.0 };
+        run_to_target(&spec.params, &profile);
+    }
+
+    #[test]
+    fn pbft_tcp_durable_ack_mode_reaches_target() {
+        let spec = pbft::<Batch<u64>>(4, 1).unwrap();
+        let mut profile = StoreLoadProfile::new(
+            StoreMode::Durable {
+                fsync_interval: Duration::from_millis(5),
+                fast_ack: false,
+            },
+            4,
+            16,
+            100,
+        );
+        profile.transport = NetTransportKind::Tcp;
+        let report = run_to_target(&spec.params, &profile);
+        assert!(report.wal_syncs > 0);
+        assert!(report.wal_bytes > 0);
     }
 
     #[test]
@@ -564,11 +473,7 @@ mod tests {
             100,
         );
         profile.snapshot_every = 32;
-        let report = run_store_load(&spec.params, &profile);
-        assert!(report.all_reached_target, "rounds: {}", report.rounds);
-        assert!(report.logs_agree);
-        assert!(report.acked_cmds >= 100, "acked {}", report.acked_cmds);
-        assert!(report.hist.p50() >= 1);
+        run_to_target(&spec.params, &profile);
     }
 
     #[test]
@@ -583,9 +488,7 @@ mod tests {
             8,
             60,
         );
-        let report = run_store_load(&spec.params, &profile);
-        assert!(report.all_reached_target);
-        assert!(report.logs_agree);
+        run_to_target(&spec.params, &profile);
     }
 
     #[test]

@@ -45,11 +45,11 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Sub-bucket resolution: 2^SUB sub-buckets per octave (matches
-/// `gencon_load::LatencyHistogram`).
-const SUB: u32 = 5;
+/// Sub-bucket resolution: 2^SUB sub-buckets per octave. The bucketing
+/// below is shared by [`Histogram`] and `gencon_load::LatencyHistogram`.
+pub const SUB: u32 = 5;
 /// Values below this are their own bucket (exact).
-const LINEAR_MAX: u64 = 1 << (SUB + 1);
+pub const LINEAR_MAX: u64 = 1 << (SUB + 1);
 /// Fixed bucket count covering the whole `u64` range: 64 linear buckets
 /// plus 32 sub-buckets for each of the 58 octaves above.
 const BUCKETS: usize = LINEAR_MAX as usize + ((64 - SUB as usize - 1) << SUB);
@@ -106,8 +106,10 @@ struct HistogramInner {
     max: AtomicU64,
 }
 
-/// Bucket index of `v` (same scheme as `gencon_load`'s histogram).
-fn index_of(v: u64) -> usize {
+/// Bucket index of `v`: exact below [`LINEAR_MAX`], then 2^[`SUB`]
+/// sub-buckets per power-of-two octave.
+#[must_use]
+pub fn index_of(v: u64) -> usize {
     if v < LINEAR_MAX {
         return v as usize;
     }
@@ -119,7 +121,8 @@ fn index_of(v: u64) -> usize {
 
 /// Upper edge of bucket `idx` (quantiles report this — conservative,
 /// never underestimating the true sample).
-fn value_of(idx: usize) -> u64 {
+#[must_use]
+pub fn value_of(idx: usize) -> u64 {
     if (idx as u64) < LINEAR_MAX {
         return idx as u64;
     }
@@ -128,7 +131,28 @@ fn value_of(idx: usize) -> u64 {
     let sub = (rel & ((1 << SUB) - 1)) as u64;
     let width = 1u64 << octave;
     let lower = ((1u64 << SUB) + sub) << octave;
+    // (width - 1) first: for the top bucket `lower + width` is 2^64.
     lower + (width - 1)
+}
+
+/// The value at quantile `q ∈ [0, 1]` over bucket counts indexed by
+/// [`index_of`]: the smallest bucket upper edge with at least
+/// `⌈q·count⌉` samples at or below it, never above the true `max`
+/// (upper edges round up). 0 when `count` is 0.
+#[must_use]
+pub fn quantile_of(buckets: impl IntoIterator<Item = u64>, count: u64, max: u64, q: f64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+    let mut seen = 0u64;
+    for (idx, n) in buckets.into_iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            return value_of(idx).min(max);
+        }
+    }
+    max
 }
 
 /// A lock-free log-bucketed histogram of `u64` samples.
@@ -188,19 +212,8 @@ impl Histogram {
     /// empty).
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, bucket) in self.0.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return value_of(idx).min(self.max());
-            }
-        }
-        self.max()
+        let buckets = self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed));
+        quantile_of(buckets, self.count(), self.max(), q.clamp(0.0, 1.0))
     }
 
     /// Median sample.

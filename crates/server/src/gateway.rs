@@ -269,17 +269,9 @@ impl<A: App> ClientGateway<A> {
         std::thread::spawn(move || {
             let mut next_id: u64 = 0;
             loop {
-                let Ok((stream, peer)) = listener.accept() else {
+                let Ok((stream, _peer)) = listener.accept() else {
                     return;
                 };
-                if std::env::var_os("GENCON_NODE_DEBUG").is_some() {
-                    eprintln!(
-                        "[gateway {}] accepted conn {next_id} from {peer}",
-                        stream
-                            .local_addr()
-                            .map_or_else(|_| "?".into(), |a| a.to_string())
-                    );
-                }
                 stream.set_nodelay(true).ok();
                 let conn_id = next_id;
                 next_id += 1;
@@ -562,12 +554,7 @@ fn conn_reader<A: App>(conn_id: u64, mut stream: TcpStream, tx: &Sender<(u64, A:
                     return; // node loop gone: shutting down
                 }
             }
-            Err(e) => {
-                if std::env::var_os("GENCON_NODE_DEBUG").is_some() {
-                    eprintln!("[gateway] conn {conn_id} reader exit: {e}");
-                }
-                return; // disconnect or protocol violation
-            }
+            Err(_) => return, // disconnect or protocol violation
         }
     }
 }
@@ -932,10 +919,10 @@ impl<A: App> AckState<A> {
         let Some(stream) = conns.get_mut(&conn_id) else {
             return; // client went away; the commit stands regardless
         };
-        if let Err(e) = write_frame(stream, resp).and_then(|()| stream.flush()) {
-            if std::env::var_os("GENCON_NODE_DEBUG").is_some() {
-                eprintln!("[gateway] respond to conn {conn_id} failed: {e}");
-            }
+        if write_frame(stream, resp)
+            .and_then(|()| stream.flush())
+            .is_err()
+        {
             conns.remove(&conn_id);
         }
     }

@@ -1,7 +1,7 @@
 //! The SMR node event loop: a replicated log over a real transport.
 //!
-//! [`run_smr_node`] drives one [`BatchingReplica`] slot-by-slot over any
-//! [`Transport`] with wall-clock round pacing:
+//! [`run_smr_node_observed`] drives one [`BatchingReplica`] slot-by-slot
+//! over any [`Transport`] with wall-clock round pacing:
 //!
 //! * **Adaptive deadlines** — each round's collect window comes from an
 //!   [`AdaptiveDeadline`]: it shrinks toward 2× the observed round time
@@ -429,25 +429,21 @@ fn ingest_loop<V: Value + Wire>(
 /// result), the transport (reusable — e.g. to restart a node on the same
 /// endpoint after a simulated crash), run statistics, and the hook (so
 /// callers can read its end state — gateway counters, WAL statistics).
-pub fn run_smr_node<V, T, H>(
-    replica: BatchingReplica<V>,
-    transport: T,
-    cfg: ServerConfig,
-    hook: H,
-) -> (BatchingReplica<V>, T, NodeStats, H)
-where
-    V: Value + Wire + CmdKey,
-    T: Transport,
-    H: NodeHook<V>,
-{
-    run_smr_node_metered(replica, transport, cfg, hook, None)
-}
-
-/// [`run_smr_node`] with per-stage instruments registered in `metrics`
-/// (`ingest.*`, `order.*`, `transfer.*`; the durable and gateway hooks
-/// add `persist.*`, `apply.*` and `ack.*` when built with the same
-/// registry). With `None` the node meters into a private throwaway
-/// registry — the instruments cost a handful of atomics either way.
+///
+/// Observability is optional and per argument:
+///
+/// * `metrics` receives the per-stage instruments (`ingest.*`, `order.*`,
+///   `transfer.*`; the durable and gateway hooks add `persist.*`,
+///   `apply.*` and `ack.*` when built with the same registry). With
+///   `None` the node meters into a private throwaway registry — the
+///   instruments cost a handful of atomics either way.
+/// * `trace` receives the slot-lifecycle, state-transfer and
+///   peer-liveness events of this node (ingest/order here; the gateway
+///   and durable hooks record their own stages when built with the same
+///   recorder).
+/// * `peers` is continuously updated with last-heard rounds, advertised
+///   watermarks and written-off flags — the table the admin endpoint's
+///   `status` command snapshots.
 ///
 /// The node core is a staged pipeline:
 ///
@@ -464,31 +460,9 @@ where
 /// decodes + sender-authenticates frames concurrently with the round
 /// loop. The **order** stage — this thread — stays single-threaded and
 /// deterministic: it consumes decoded frames, runs the consensus rounds,
-/// and drives the hook, exactly as before the split. On exit the ingest
-/// stage is stopped and joined, the receive half is restored into the
-/// transport, and [`NodeHook::finish`] drains the downstream stages.
-pub fn run_smr_node_metered<V, T, H>(
-    replica: BatchingReplica<V>,
-    transport: T,
-    cfg: ServerConfig,
-    hook: H,
-    metrics: Option<&Registry>,
-) -> (BatchingReplica<V>, T, NodeStats, H)
-where
-    V: Value + Wire + CmdKey,
-    T: Transport,
-    H: NodeHook<V>,
-{
-    run_smr_node_observed(replica, transport, cfg, hook, metrics, None, None)
-}
-
-/// [`run_smr_node_metered`] plus the flight recorder and per-peer health
-/// table: `trace` receives the slot-lifecycle, state-transfer and
-/// peer-liveness events of this node (ingest/order here; the gateway and
-/// durable hooks record their own stages when built with the same
-/// recorder), and `peers` is continuously updated with last-heard
-/// rounds, advertised watermarks and written-off flags — the table the
-/// admin endpoint's `status` command snapshots.
+/// and drives the hook. On exit the ingest stage is stopped and joined,
+/// the receive half is restored into the transport, and
+/// [`NodeHook::finish`] drains the downstream stages.
 pub fn run_smr_node_observed<V, T, H>(
     mut replica: BatchingReplica<V>,
     mut transport: T,
@@ -1172,20 +1146,6 @@ where
             }
         }
 
-        if debug_pacing() && stats.rounds % 64 == 0 {
-            eprintln!(
-                "[node {me}] round {r}: applied {} slots {} queued {} deadline {:?} \
-                 (full {} timeout {} ff {})",
-                replica.applied_len(),
-                replica.committed_slots(),
-                replica.queued(),
-                deadline.current(),
-                stats.full_rounds,
-                stats.timeouts,
-                stats.fast_forwards,
-            );
-        }
-
         if hook.should_stop(replica) {
             break;
         }
@@ -1212,12 +1172,6 @@ fn max_slot_of<V>(msg: &SmrMsg<V>) -> u64 {
         .chain(msg.claims().iter().map(|(s, _)| *s))
         .max()
         .unwrap_or(0)
-}
-
-/// Whether `GENCON_NODE_DEBUG` asks for per-node pacing traces on stderr.
-fn debug_pacing() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("GENCON_NODE_DEBUG").is_some())
 }
 
 #[cfg(test)]
@@ -1268,16 +1222,37 @@ mod tests {
         }
     }
 
+    /// `count` replicas of `params` (batch cap 8, window 2).
+    fn replicas(
+        params: &gencon_core::Params<Batch<u64>>,
+        count: usize,
+    ) -> Vec<BatchingReplica<u64>> {
+        (0..count)
+            .map(|i| {
+                BatchingReplica::new(ProcessId::new(i), params.clone(), 8, usize::MAX)
+                    .unwrap()
+                    .with_window(2)
+            })
+            .collect()
+    }
+
+    /// Runs `replicas` as the first nodes of an `n`-node channel mesh
+    /// (the endpoints of any missing nodes are dropped: those nodes are
+    /// down), each feeding `submit_per_node` commands until every running
+    /// node applied `target`. Each node records into its own flight
+    /// recorder when `traced`.
     fn spawn_cluster(
         n: usize,
-        specs: Vec<BatchingReplica<u64>>,
+        replicas: Vec<BatchingReplica<u64>>,
         cfg: ServerConfig,
         submit_per_node: usize,
         target: usize,
-    ) -> Vec<(BatchingReplica<u64>, NodeStats)> {
+        traced: bool,
+    ) -> Vec<(BatchingReplica<u64>, NodeStats, FlightRecorder)> {
+        let running = replicas.len();
         let done = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mesh = ChannelTransport::mesh(n);
-        let handles: Vec<_> = specs
+        let handles: Vec<_> = replicas
             .into_iter()
             .zip(mesh)
             .enumerate()
@@ -1289,11 +1264,14 @@ mod tests {
                     fed: false,
                     marked_done: false,
                     done: std::sync::Arc::clone(&done),
-                    n,
+                    n: running,
                 };
                 std::thread::spawn(move || {
-                    let (rep, _tr, stats, _hook) = run_smr_node(replica, tr, cfg, hook);
-                    (rep, stats)
+                    let rec = FlightRecorder::new(65_536);
+                    let trace = traced.then_some(&rec);
+                    let (rep, _tr, stats, _hook) =
+                        run_smr_node_observed(replica, tr, cfg, hook, None, trace, None);
+                    (rep, stats, rec)
                 })
             })
             .collect();
@@ -1303,17 +1281,17 @@ mod tests {
     #[test]
     fn paxos_channel_cluster_commits_and_agrees() {
         let spec = paxos::<Batch<u64>>(3, 1, ProcessId::new(0)).unwrap();
-        let replicas: Vec<_> = (0..3)
-            .map(|i| {
-                BatchingReplica::new(ProcessId::new(i), spec.params.clone(), 8, usize::MAX)
-                    .unwrap()
-                    .with_window(2)
-            })
-            .collect();
-        let out = spawn_cluster(3, replicas, small_cfg(4_000), 24, 48);
+        let out = spawn_cluster(
+            3,
+            replicas(&spec.params, 3),
+            small_cfg(4_000),
+            24,
+            48,
+            false,
+        );
         let reference: Vec<u64> = out[0].0.applied().to_vec();
         assert!(reference.len() >= 48, "committed {}", reference.len());
-        for (rep, stats) in &out {
+        for (rep, stats, _) in &out {
             let log = rep.applied();
             let common = log.len().min(reference.len());
             assert_eq!(&log[..common], &reference[..common], "prefix agreement");
@@ -1324,17 +1302,17 @@ mod tests {
     #[test]
     fn pbft_channel_cluster_commits_and_agrees() {
         let spec = pbft::<Batch<u64>>(4, 1).unwrap();
-        let replicas: Vec<_> = (0..4)
-            .map(|i| {
-                BatchingReplica::new(ProcessId::new(i), spec.params.clone(), 8, usize::MAX)
-                    .unwrap()
-                    .with_window(2)
-            })
-            .collect();
-        let out = spawn_cluster(4, replicas, small_cfg(4_000), 16, 32);
+        let out = spawn_cluster(
+            4,
+            replicas(&spec.params, 4),
+            small_cfg(4_000),
+            16,
+            32,
+            false,
+        );
         let reference: Vec<u64> = out[0].0.applied().to_vec();
         assert!(reference.len() >= 32);
-        for (rep, _) in &out {
+        for (rep, _, _) in &out {
             let log = rep.applied();
             let common = log.len().min(reference.len());
             assert_eq!(&log[..common], &reference[..common]);
@@ -1349,44 +1327,18 @@ mod tests {
     #[test]
     fn pacing_recovers_when_one_node_is_down() {
         let spec = pbft::<Batch<u64>>(4, 1).unwrap();
-        // Node 3 never runs: its channel endpoint is silently dropped.
-        let mut mesh = ChannelTransport::mesh(4);
-        mesh.truncate(3);
-        let done = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let handles: Vec<_> = mesh
-            .into_iter()
-            .enumerate()
-            .map(|(i, tr)| {
-                let params = spec.params.clone();
-                // Enough work that the run extends well past the
-                // LIVENESS_GRACE window in which the dead node still
-                // counts toward the full-round expectation.
-                let hook = TestLoad {
-                    id: i,
-                    submit: 80,
-                    target: 240,
-                    fed: false,
-                    marked_done: false,
-                    done: std::sync::Arc::clone(&done),
-                    n: 3,
-                };
-                std::thread::spawn(move || {
-                    let replica = BatchingReplica::new(ProcessId::new(i), params, 8, usize::MAX)
-                        .unwrap()
-                        .with_window(2);
-                    let cfg = ServerConfig {
-                        initial_round_timeout: Duration::from_millis(10),
-                        min_round_timeout: Duration::from_millis(1),
-                        max_round_timeout: Duration::from_millis(50),
-                        max_rounds: 5_000,
-                        stop_after_commands: None,
-                    };
-                    run_smr_node(replica, tr, cfg, hook)
-                })
-            })
-            .collect();
-        let out: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for (rep, _t, stats, _hook) in &out {
+        let cfg = ServerConfig {
+            initial_round_timeout: Duration::from_millis(10),
+            min_round_timeout: Duration::from_millis(1),
+            max_round_timeout: Duration::from_millis(50),
+            max_rounds: 5_000,
+            stop_after_commands: None,
+        };
+        // Node 3 never runs. Enough work that the run extends well past
+        // the LIVENESS_GRACE window in which the dead node still counts
+        // toward the full-round expectation.
+        let out = spawn_cluster(4, replicas(&spec.params, 3), cfg, 80, 240, false);
+        for (rep, stats, _) in &out {
             assert!(
                 rep.applied().len() >= 240,
                 "3 live of 4 (= n − b) keep committing, got {}",
@@ -1407,41 +1359,8 @@ mod tests {
     #[test]
     fn traced_cluster_records_quorum_telemetry() {
         let spec = paxos::<Batch<u64>>(3, 1, ProcessId::new(0)).unwrap();
-        let done = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mesh = ChannelTransport::mesh(3);
-        let handles: Vec<_> = mesh
-            .into_iter()
-            .enumerate()
-            .map(|(i, tr)| {
-                let params = spec.params.clone();
-                let hook = TestLoad {
-                    id: i,
-                    submit: 12,
-                    target: 36,
-                    fed: false,
-                    marked_done: false,
-                    done: std::sync::Arc::clone(&done),
-                    n: 3,
-                };
-                std::thread::spawn(move || {
-                    let replica = BatchingReplica::new(ProcessId::new(i), params, 8, usize::MAX)
-                        .unwrap()
-                        .with_window(2);
-                    let rec = FlightRecorder::new(65_536);
-                    run_smr_node_observed(
-                        replica,
-                        tr,
-                        small_cfg(4_000),
-                        hook,
-                        None,
-                        Some(&rec),
-                        None,
-                    );
-                    rec
-                })
-            })
-            .collect();
-        for rec in handles.into_iter().map(|h| h.join().unwrap()) {
+        let out = spawn_cluster(3, replicas(&spec.params, 3), small_cfg(4_000), 12, 36, true);
+        for (_, _, rec) in out {
             let events = rec.tail(usize::MAX);
             // Every sender heard in a round is attributed, the quorum
             // completion instant is stamped, and both carry peer ids
@@ -1501,8 +1420,8 @@ mod tests {
                 BatchingReplica::new(ProcessId::new(i), spec.params.clone(), 4, usize::MAX).unwrap()
             })
             .collect();
-        let out = spawn_cluster(3, replicas, small_cfg(500), 4, 8);
-        for (_, stats) in &out {
+        let out = spawn_cluster(3, replicas, small_cfg(500), 4, 8, false);
+        for (_, stats, _) in &out {
             assert!(stats.last_round >= stats.rounds.saturating_sub(1));
             assert_eq!(stats.fast_forwards, 0, "no restarts in this run");
         }

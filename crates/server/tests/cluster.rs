@@ -18,7 +18,7 @@ use gencon_algos::pbft;
 use gencon_app::LogApp;
 use gencon_net::{probe_free_addrs, ChannelTransport, TcpTransport};
 use gencon_server::{
-    read_frame, run_smr_node, write_frame, ClientGateway, ClientRequest, ClientResponse,
+    read_frame, run_smr_node_observed, write_frame, ClientGateway, ClientRequest, ClientResponse,
     GatewayConfig, NodeHook, ServerConfig,
 };
 use gencon_smr::{Batch, BatchingReplica};
@@ -138,7 +138,8 @@ fn tcp_pbft_cluster_serves_1000_client_commands() {
                 clients_done,
                 grace_left: 40,
             };
-            let (replica, _t, stats, _hook) = run_smr_node(replica, transport, cfg, hook);
+            let (replica, _t, stats, _hook) =
+                run_smr_node_observed(replica, transport, cfg, hook, None, None, None);
             (replica, stats)
         }));
     }
@@ -254,7 +255,8 @@ fn restarted_node_catches_up_via_decision_claims() {
                     done: Arc::clone(&done),
                     quorum: N,
                 };
-                let (dead, transport, _stats, _hook) = run_smr_node(replica, tr, cfg, hook);
+                let (dead, transport, _stats, _hook) =
+                    run_smr_node_observed(replica, tr, cfg, hook, None, None, None);
                 let committed_before_death = dead.applied().len();
                 drop(dead); // all replica state is lost
                             // The cluster runs on while this node is down — long
@@ -276,7 +278,8 @@ fn restarted_node_catches_up_via_decision_claims() {
                     done,
                     quorum: N,
                 };
-                let (replica, _t, stats, _hook) = run_smr_node(fresh, transport, cfg, hook);
+                let (replica, _t, stats, _hook) =
+                    run_smr_node_observed(fresh, transport, cfg, hook, None, None, None);
                 assert!(
                     stats.fast_forwards > 0,
                     "the restarted node must jump to the cluster's round"
@@ -294,7 +297,8 @@ fn restarted_node_catches_up_via_decision_claims() {
                     done,
                     quorum: N,
                 };
-                let (replica, _t, _stats, _hook) = run_smr_node(replica, tr, cfg, hook);
+                let (replica, _t, _stats, _hook) =
+                    run_smr_node_observed(replica, tr, cfg, hook, None, None, None);
                 (replica, 0)
             }
         }));

@@ -16,7 +16,8 @@ use gencon_app::{Applier, Folder, LogApp};
 use gencon_net::wire_sync::{FoldedState, SnapshotManifest};
 use gencon_net::ChannelTransport;
 use gencon_server::{
-    recover_replica, run_smr_node, DurableConfig, DurableNode, NodeHook, NodeStats, ServerConfig,
+    recover_replica, run_smr_node_observed, DurableConfig, DurableNode, NodeHook, NodeStats,
+    ServerConfig,
 };
 use gencon_smr::{Batch, BatchingReplica};
 use gencon_store::{FileWal, MemStore, WalConfig};
@@ -196,7 +197,7 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
                     ),
                 );
                 let (dead, transport, _stats, _hook) =
-                    run_smr_node(replica, tr, server_cfg(), hook);
+                    run_smr_node_observed(replica, tr, server_cfg(), hook, None, None, None);
                 let committed_at_death = dead.committed_slots() as u64;
                 drop(dead); // kill -9: every byte of replica state gone
                 assert!(committed_at_death >= 6);
@@ -238,7 +239,8 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
                     folder,
                     make_driver(i, 0, true, None, done, None, applier),
                 );
-                let (replica, _t, stats, hook) = run_smr_node(fresh, transport, server_cfg(), hook);
+                let (replica, _t, stats, hook) =
+                    run_smr_node_observed(fresh, transport, server_cfg(), hook, None, None, None);
                 let digest = hook.inner().applier.app().prefix_hash(TARGET);
                 (replica, stats, committed_at_death, recovered_slots, digest)
             } else {
@@ -259,7 +261,8 @@ fn killed_durable_node_recovers_from_disk_and_chunked_state_transfer() {
                         Applier::default(),
                     ),
                 );
-                let (replica, _t, stats, hook) = run_smr_node(replica, tr, server_cfg(), hook);
+                let (replica, _t, stats, hook) =
+                    run_smr_node_observed(replica, tr, server_cfg(), hook, None, None, None);
                 let digest = hook.inner().applier.app().prefix_hash(TARGET);
                 (replica, stats, 0, 0, digest)
             }

@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crc32;
 mod mem;
 mod snapshot;
 mod wal;

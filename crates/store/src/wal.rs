@@ -47,8 +47,8 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::crc32::crc32;
 use crate::{Log, Slot, Snapshot, SnapshotMeta};
+use gencon_crypto::crc32::crc32;
 
 const SEGMENT_MAGIC: &[u8; 4] = b"GCWS";
 const SNAPSHOT_MAGIC: &[u8; 4] = b"GCSN";

@@ -14,20 +14,21 @@
 //! writer, and `gencon-mon` intersects the rings across nodes to check
 //! agreement at the highest *common* published count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Published pairs retained; a reader can compare against peers within
 /// this many publications of skew.
 const SLOTS: usize = 8;
 
-/// One published pair under a sequence lock: `seq` is odd while the
-/// writer is mid-update, and changes across every update, so a reader
-/// that sees the same even `seq` before and after its copy has an
-/// untorn pair.
+/// One published pair under a sequence lock: a writer claims the slot
+/// by moving `seq` from even to odd with a compare-exchange and releases
+/// it with the next even value, so `seq` rises by exactly 2 per write.
+/// A reader that sees the same even `seq` before and after its copy has
+/// an untorn pair.
 #[derive(Default)]
 struct HashSlot {
-    /// 0 = never written; odd = write in progress.
+    /// 0 = never written; odd = a writer holds the slot.
     seq: AtomicU64,
     applied: AtomicU64,
     words: [AtomicU64; 4],
@@ -57,7 +58,7 @@ impl Default for HashCell {
 impl std::fmt::Debug for HashCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashCell")
-            .field("published", &self.inner.next.load(Ordering::Relaxed))
+            .field("published", &self.published())
             .finish()
     }
 }
@@ -79,18 +80,44 @@ impl HashCell {
     /// Pairs published over the cell's lifetime (≥ retained pairs).
     #[must_use]
     pub fn published(&self) -> u64 {
-        self.inner.next.load(Ordering::Relaxed)
+        // Every completed write adds exactly 2 to its slot's `seq`.
+        self.inner
+            .slots
+            .iter()
+            .map(|s| s.seq.load(Ordering::Relaxed) / 2)
+            .sum()
     }
 
     /// Publishes the state hash at `applied` commands, overwriting the
     /// oldest retained pair.
     pub fn publish(&self, applied: u64, hash: [u8; 32]) {
-        let ticket = self.inner.next.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.inner.slots[usize::try_from(ticket % SLOTS as u64).expect("small")];
-        // Odd sequence marks the write in progress; Acquire/Release
-        // ordering publishes the payload with the closing (even) store.
-        let open = ticket * 2 + 1;
-        slot.seq.store(open, Ordering::Release);
+        let (slot, open) = self.claim();
+        HashCell::fill(slot, open, applied, hash);
+    }
+
+    /// Claims the slot of the next ticket by moving its `seq` from even
+    /// to odd. Two publishers can land on the same slot `SLOTS` tickets
+    /// apart; the one that finds it held (odd) or loses the exchange
+    /// takes the next ticket instead of writing into the other's pair.
+    fn claim(&self) -> (&HashSlot, u64) {
+        loop {
+            let ticket = self.inner.next.fetch_add(1, Ordering::Relaxed);
+            let slot = &self.inner.slots[usize::try_from(ticket % SLOTS as u64).expect("small")];
+            let seq = slot.seq.load(Ordering::Acquire);
+            if seq.is_multiple_of(2)
+                && slot
+                    .seq
+                    .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return (slot, seq + 1);
+            }
+        }
+    }
+
+    /// Writes the pair into a claimed slot and releases it; the closing
+    /// (even) Release store publishes the payload.
+    fn fill(slot: &HashSlot, open: u64, applied: u64, hash: [u8; 32]) {
         slot.applied.store(applied, Ordering::Relaxed);
         for (i, word) in slot.words.iter().enumerate() {
             let mut w = [0u8; 8];
@@ -114,7 +141,9 @@ impl HashCell {
                 hash[i * 8..(i + 1) * 8]
                     .copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
             }
-            if slot.seq.load(Ordering::Acquire) == before {
+            // Keeps the payload loads above the closing re-check.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) == before {
                 return Some((applied, hash));
             }
         }
@@ -221,6 +250,34 @@ mod tests {
             hash[24..].copy_from_slice(&50_000u64.to_le_bytes());
             Some((50_000, hash))
         });
+    }
+
+    #[test]
+    fn held_claim_makes_a_lapping_publisher_take_the_next_slot() {
+        let cell = HashCell::new();
+        // Publisher A claims slot 0 and stalls before writing.
+        let (held, open) = cell.claim();
+        assert!(std::ptr::eq(held, &cell.inner.slots[0]));
+        for i in 1..SLOTS as u64 {
+            cell.publish(i * 100, h(i as u8));
+        }
+        // Publisher B's ticket lands on slot 0 again: it must not write
+        // into A's pair, so it moves on to slot 1.
+        cell.publish(5_000, h(50));
+        assert_eq!(cell.inner.slots[0].seq.load(Ordering::Relaxed), 1);
+        assert_eq!(cell.inner.slots[1].seq.load(Ordering::Relaxed), 4);
+        assert!(
+            cell.recent().iter().all(|&(applied, _)| applied != 0),
+            "a held slot is never read"
+        );
+        // A completes: both pairs are whole and seq rose by 2 per write.
+        HashCell::fill(held, open, 0, h(99));
+        assert_eq!(cell.inner.slots[0].seq.load(Ordering::Relaxed), 2);
+        let recent = cell.recent();
+        assert_eq!(recent.first(), Some(&(0, h(99))));
+        assert_eq!(recent.last(), Some(&(5_000, h(50))));
+        assert!(!recent.contains(&(100, h(1))), "B overwrote slot 1");
+        assert_eq!(cell.published(), SLOTS as u64 + 1);
     }
 
     #[test]

@@ -250,7 +250,9 @@ impl TraceEvent {
 /// a writer is mid-write and `2·t + 2` once published; readers accept a
 /// cell only if they observe the *published* value for the exact ticket
 /// they expect both before and after reading the fields, so an event is
-/// either decoded whole or skipped — never torn.
+/// either decoded whole or skipped — never torn. Writers claim the cell
+/// with a compare-exchange (see [`FlightRecorder::record`]), so two
+/// writers a lap apart never write into the same cell at once.
 #[derive(Default)]
 struct Cell {
     seq: AtomicU64,
@@ -264,6 +266,8 @@ struct Ring {
     cells: Vec<Cell>,
     mask: u64,
     next: AtomicU64,
+    /// Tickets given up because their cell was held (see `claim`).
+    skipped: AtomicU64,
     epoch: Instant,
     epoch_id: u64,
 }
@@ -302,6 +306,7 @@ impl FlightRecorder {
                 cells,
                 mask: (cap - 1) as u64,
                 next: AtomicU64::new(0),
+                skipped: AtomicU64::new(0),
                 epoch: Instant::now(),
                 epoch_id: std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
@@ -319,7 +324,7 @@ impl FlightRecorder {
     /// Total events ever recorded (including those since overwritten).
     #[must_use]
     pub fn recorded(&self) -> u64 {
-        self.inner.next.load(Ordering::SeqCst)
+        self.inner.next.load(Ordering::SeqCst) - self.inner.skipped.load(Ordering::SeqCst)
     }
 
     /// Microseconds since the recorder was created — the clock every
@@ -342,17 +347,40 @@ impl FlightRecorder {
     /// Records one event. Never blocks; wraps by overwriting the
     /// oldest event.
     pub fn record(&self, stage: Stage, kind: EventKind, slot: u64, detail: u64) {
-        let ring = &self.inner;
-        let ts = ring.epoch.elapsed().as_micros() as u64;
-        let t = ring.next.fetch_add(1, Ordering::SeqCst);
-        let cell = &ring.cells[(t & ring.mask) as usize];
-        cell.seq.store(2 * t + 1, Ordering::SeqCst);
+        let ts = self.inner.epoch.elapsed().as_micros() as u64;
+        let (cell, t) = self.claim();
         cell.ts_us.store(ts, Ordering::SeqCst);
         cell.tag
             .store(((stage as u64) << 8) | kind as u64 & 0xff, Ordering::SeqCst);
         cell.slot.store(slot, Ordering::SeqCst);
         cell.detail.store(detail, Ordering::SeqCst);
         cell.seq.store(2 * t + 2, Ordering::SeqCst);
+    }
+
+    /// Claims the cell of the next ticket `t` by moving its sequence word
+    /// from an older published value to `2·t + 1`. A writer a lap behind
+    /// may still hold the cell (odd word) — a plain store would let the
+    /// two interleave fields and publish a mixed event under one ticket —
+    /// so a writer that finds the cell held, or loses the exchange, gives
+    /// the ticket up (readers skip it like an overwritten cell) and takes
+    /// the next one.
+    fn claim(&self) -> (&Cell, u64) {
+        let ring = &self.inner;
+        loop {
+            let t = ring.next.fetch_add(1, Ordering::SeqCst);
+            let cell = &ring.cells[(t & ring.mask) as usize];
+            let seq = cell.seq.load(Ordering::SeqCst);
+            if seq.is_multiple_of(2)
+                && seq < 2 * t + 1
+                && cell
+                    .seq
+                    .compare_exchange(seq, 2 * t + 1, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+            {
+                return (cell, t);
+            }
+            ring.skipped.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// The most recent ≤ `n` events, oldest first (ordered by
@@ -571,6 +599,38 @@ mod tests {
         t.rec(Stage::Order, EventKind::Decided, 1, 1); // must not panic
         assert_eq!(t.now_us(), 0);
         assert!(t.recorder().is_none());
+    }
+
+    #[test]
+    fn held_claim_makes_a_lapping_writer_take_the_next_cell() {
+        let rec = FlightRecorder::new(64);
+        // Writer A claims ticket 0 (cell 0) and stalls before writing.
+        let (held, t) = rec.claim();
+        assert_eq!(t, 0);
+        for slot in 1..64 {
+            rec.record(Stage::Order, EventKind::Decided, slot, slot);
+        }
+        // Writer B's ticket 64 lands on cell 0 again: it gives ticket 64
+        // up and records under ticket 65 in cell 1.
+        rec.record(Stage::Apply, EventKind::Applied, 1_000, 1_000);
+        assert_eq!(rec.inner.cells[0].seq.load(Ordering::SeqCst), 1);
+        assert_eq!(rec.inner.cells[1].seq.load(Ordering::SeqCst), 2 * 65 + 2);
+        assert_eq!(
+            rec.recorded(),
+            65,
+            "claims count, the given-up ticket does not"
+        );
+        // A completes its own fields only.
+        held.slot.store(7, Ordering::SeqCst);
+        held.detail.store(7, Ordering::SeqCst);
+        held.seq.store(2 * t + 2, Ordering::SeqCst);
+        let cell0 = &rec.inner.cells[0];
+        assert_eq!(cell0.slot.load(Ordering::SeqCst), 7);
+        // Tickets 2..=65 are in the window; 64 was given up.
+        let slots: Vec<u64> = rec.tail(64).iter().map(|e| e.slot).collect();
+        let mut expect: Vec<u64> = (2..64).collect();
+        expect.push(1_000);
+        assert_eq!(slots, expect);
     }
 
     #[test]
