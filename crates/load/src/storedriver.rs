@@ -421,11 +421,22 @@ mod tests {
         profile
     }
 
+    /// The profile's defaults alone give a memory-mode run that never
+    /// touches a WAL.
     #[test]
     fn memory_mode_reaches_target() {
         let spec = paxos::<Batch<u64>>(3, 1, ProcessId::new(0)).unwrap();
-        let report = run_to_target(&spec.params, &memory(NetTransportKind::Channel, 120));
+        let profile = StoreLoadProfile::new(StoreMode::Memory, 4, 16, 120);
+        let report = run_to_target(&spec.params, &profile);
         assert_eq!(report.wal_bytes, 0);
+        assert_eq!(report.wal_syncs, 0);
+    }
+
+    #[test]
+    fn paxos_channel_memory_mode_reaches_target() {
+        let spec = paxos::<Batch<u64>>(3, 1, ProcessId::new(0)).unwrap();
+        let report = run_to_target(&spec.params, &memory(NetTransportKind::Channel, 120));
+        assert!(report.hist.count() >= 120);
     }
 
     #[test]
